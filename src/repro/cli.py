@@ -12,11 +12,11 @@ Subcommands:
 * ``chaos`` — seeded fault-injection campaign audited by the stale-target
   correctness oracle (exit 0 iff the campaign verdict is OK);
 * ``campaign`` — hardened (workload × ABTB) sweep with per-run timeout,
-  retry with backoff, and integrity-checked checkpoint/resume; with
-  ``--supervise`` the shards run under the self-healing supervisor
-  (heartbeats, hang detection, requeue, quarantine, salvage) and the
-  command exits 0 when complete, 3 when complete-but-degraded
-  (quarantined shards, partial manifest), 1 on failure;
+  retry with backoff, and integrity-checked checkpoint/resume;
+  ``--jobs N>1`` runs supervised: the shards run under the self-healing
+  supervisor (heartbeats, hang detection, requeue, quarantine, salvage).
+  Exits 0 when complete, 3 when complete-but-degraded (quarantined
+  shards, partial manifest), 1 on failure;
 * ``sweep run|resume|report`` — declarative design-space exploration
   (see ``docs/EXPERIMENTS.md``): expand a JSON axis matrix over
   workloads × ABTB geometry × Bloom × front-end predictors, execute it
@@ -235,9 +235,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     scale = PAPER if args.scale == "paper" else SMOKE
     obs = Observability.from_flags(args)
 
-    want_recorder = bool(
-        args.supervise or args.incidents_out or args.manifest or args.watchdog_every
-    )
+    want_recorder = bool(args.incidents_out or args.manifest or args.watchdog_every)
     recorder = None
     if want_recorder:
         recorder = obs.incident_recorder() if obs is not None else IncidentRecorder()
@@ -257,12 +255,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     watchdog = (
         WatchdogPolicy(check_every=args.watchdog_every) if args.watchdog_every else None
     )
-    supervisor_policy = None
-    if args.supervise:
-        supervisor_policy = SupervisorPolicy(
-            shard_deadline_s=args.shard_deadline,
-            max_shard_failures=args.max_shard_failures,
-        )
+    supervisor_policy = SupervisorPolicy(
+        shard_deadline_s=args.shard_deadline,
+        max_shard_failures=args.max_shard_failures,
+    )
 
     _install_sigterm_handler()
     try:
@@ -278,7 +274,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             trace_cache_dir=args.trace_cache,
             backend=args.backend,
             recorder=recorder,
-            supervise=args.supervise,
             supervisor_policy=supervisor_policy,
             fault_plan=fault_plan,
             manifest_path=args.manifest,
@@ -856,7 +851,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard pairs over N worker processes (results are byte-identical to serial)",
+        help="shard pairs over N worker processes under the self-healing "
+        "supervisor: heartbeats, hang detection, kill-and-requeue with backoff, "
+        "quarantine, spill salvage (exit 3 = completed degraded); results are "
+        "byte-identical to serial",
     )
     campaign.add_argument(
         "--machine-cache",
@@ -879,19 +877,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience = campaign.add_argument_group("resilience")
     resilience.add_argument(
-        "--supervise", action="store_true",
-        help="run shards under the self-healing supervisor: heartbeats, hang "
-        "detection, kill-and-requeue with backoff, quarantine, spill salvage "
-        "(exit 3 = completed degraded)",
-    )
-    resilience.add_argument(
         "--shard-deadline", type=float, default=120.0, metavar="SECONDS",
-        help="heartbeat silence after which a supervised worker is declared "
-        "hung and killed [default: 120]",
+        help="with --jobs N>1: heartbeat silence after which a worker is "
+        "declared hung and killed [default: 120]",
     )
     resilience.add_argument(
         "--max-shard-failures", type=int, default=3, metavar="N",
-        help="process-level failures before a shard is quarantined [default: 3]",
+        help="with --jobs N>1: process-level failures before a shard is "
+        "quarantined [default: 3]",
     )
     resilience.add_argument(
         "--incidents-out", default=None, metavar="PATH",

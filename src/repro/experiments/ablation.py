@@ -28,7 +28,7 @@ from repro.experiments.scale import SMOKE, Scale
 from repro.workloads import apache
 
 BLOOM_SIZES = (2048, 8192, 32768, 1 << 17)
-ABLATION_ABTB = 96  # capacity-constrained, so replacement policy matters
+ABLATION_ABTB = 64  # capacity-constrained, so replacement policy matters
 
 
 def _run(scale: Scale, mech_cfg: MechanismConfig, workload_cfg=None):

@@ -16,7 +16,7 @@ import inspect
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -694,7 +694,7 @@ class CampaignPoint:
     ``mechanism`` is a dict of :class:`~repro.core.config.MechanismConfig`
     kwargs and ``cpu`` a (possibly partial) dict understood by
     :meth:`~repro.uarch.cpu.CPUConfig.from_dict` — plain JSON-safe dicts,
-    so points pickle cleanly across the process-pool boundary and keys
+    so points pickle cleanly across the worker-process boundary and keys
     stay stable in checkpoints.
     """
 
@@ -1006,7 +1006,7 @@ def _obs_from_spec(spec: dict | None):
 
 
 def _campaign_worker(task: dict) -> dict:
-    """Process-pool entry point: run one pair in a fresh interpreter.
+    """Supervised-shard entry point: run one pair in a worker process.
 
     Rebuilds the per-worker obs session and machine cache from picklable
     specs, runs the pair through :func:`_run_one_pair`, and ships the
@@ -1081,7 +1081,6 @@ def run_campaign(
     trace_cache_dir: str | Path | None = None,
     backend: str = "reference",
     recorder: IncidentRecorder | None = None,
-    supervise: bool = False,
     supervisor_policy: SupervisorPolicy | None = None,
     fault_plan: FaultPlan | None = None,
     manifest_path: str | Path | None = None,
@@ -1107,16 +1106,22 @@ def run_campaign(
     a partial result.  ``run_fn`` and ``sleep_fn`` exist for tests: the
     default ``run_fn`` is :func:`run_pair`.
 
-    ``jobs > 1`` shards the remaining pairs over a
-    :class:`~concurrent.futures.ProcessPoolExecutor`.  Every pair is
-    simulated by exactly one worker with the same retry/timeout
-    discipline as the serial path, outcomes are merged in the serial
-    loop's deterministic order, and the campaign checkpoint is still
-    written incrementally as pairs finish — so a sharded campaign
-    produces byte-identical summaries and checkpoints to a serial one.
-    Sharding requires the default ``run_fn``/``sleep_fn`` (custom
-    callables don't cross process boundaries); otherwise the campaign
-    silently runs serially.
+    ``jobs > 1`` shards the remaining pairs over worker processes run by
+    the :class:`~repro.resilience.supervisor.CampaignSupervisor`: per-shard
+    heartbeats, hang detection (``supervisor_policy``), kill-and-requeue
+    with backoff, quarantine of repeatedly failing shards (the campaign
+    then completes *degraded*; see :attr:`CampaignResult.degraded`), and
+    salvage of completed work from dead workers.  Every pair is simulated
+    by one worker with the same retry/timeout discipline as the serial
+    path, outcomes are merged in the serial loop's deterministic order,
+    and the campaign checkpoint is still written incrementally as pairs
+    finish — so a sharded campaign produces byte-identical summaries and
+    checkpoints to a serial one.  Sharding requires the default
+    ``run_fn``/``sleep_fn`` (custom callables don't cross process
+    boundaries); otherwise the campaign silently runs serially.
+    ``fault_plan`` injects deterministic worker kills/hangs/divergences
+    for tests and the chaos CI job; it needs a sharded run, and a
+    campaign that would run serially rejects it with :class:`ConfigError`.
 
     ``machine_cache_dir`` holds warm-machine checkpoints shared by all
     workers (see :func:`run_workload`); atomic writes make the racy
@@ -1135,18 +1140,11 @@ def run_campaign(
     sample into their own registries/tracers, which are merged into the
     parent session in deterministic pair order.
 
-    ``supervise=True`` replaces the bare process pool with the
-    :class:`~repro.resilience.supervisor.CampaignSupervisor`: per-shard
-    heartbeats, hang detection (``supervisor_policy``), kill-and-requeue
-    with backoff, quarantine of repeatedly failing shards (the campaign
-    then completes *degraded*; see :attr:`CampaignResult.degraded`), and
-    salvage of completed work from dead workers.  ``fault_plan`` injects
-    deterministic worker kills/hangs/divergences for tests and the chaos
-    CI job.  ``recorder`` collects every incident — corrupted campaign
-    checkpoints are then healed (entries requeued) instead of raising.
-    ``watchdog`` arms the backend divergence watchdog in every pair (only
-    meaningful with ``backend="batched"``), and ``manifest_path`` writes
-    an integrity-checked end-of-campaign manifest including quarantined
+    ``recorder`` collects every incident — corrupted campaign checkpoints
+    are then healed (entries requeued) instead of raising.  ``watchdog``
+    arms the backend divergence watchdog in every pair (only meaningful
+    with ``backend="batched"``), and ``manifest_path`` writes an
+    integrity-checked end-of-campaign manifest including quarantined
     shards and incident counts.
 
     ``bus`` (a :class:`repro.obs.events.EventBus`) narrates the sweep:
@@ -1167,13 +1165,12 @@ def run_campaign(
         if trace_cache_dir is not None
         else None
     )
-    default_callables = run_fn is None and sleep_fn is time.sleep
-    if supervise and not default_callables:
+    sharded = jobs > 1 and run_fn is None and sleep_fn is time.sleep
+    if fault_plan is not None and not sharded:
         raise ConfigError(
-            "supervise=True requires the default run_fn/sleep_fn "
-            "(worker processes cannot inherit custom callables)"
+            "a fault plan needs a sharded campaign (jobs > 1 with the "
+            "default run_fn/sleep_fn); this one would run serially"
         )
-    parallel = jobs > 1 and default_callables and not supervise
     if run_fn is None:
         def run_fn(w, s, n, mechanism=None, cpu=None, gate=None):
             rec = gate.recorder(recorder) if gate is not None else recorder
@@ -1233,7 +1230,7 @@ def run_campaign(
         and obs is None
         and watchdog is None
         and tasks
-        and (parallel or supervise)
+        and sharded
     ):
         # Seed the cross-shard artifacts before fanning out — otherwise
         # every concurrently-started cold shard of the same workload
@@ -1363,45 +1360,7 @@ def run_campaign(
         }
 
     def execute() -> CampaignResult:
-        # ----------------------------------------------------- supervised
-        if supervise:
-            live: dict[str, dict] = {}
-
-            def on_complete(key: str, outcome: dict) -> None:
-                # Incremental checkpoint the moment a shard lands (completion
-                # order; sorted keys keep the bytes order-independent).
-                if outcome.get("failed") is None and outcome.get("summary") is not None:
-                    live[key] = outcome["summary"]
-                    if path is not None:
-                        staged = dict(result.completed)
-                        staged.update(live)
-                        _save_checkpoint(path, staged)
-
-            supervisor = CampaignSupervisor(
-                _campaign_worker,
-                [
-                    (key, make_task(key, workload, abtb, mech_cfg, cpu_cfg))
-                    for key, workload, abtb, mech_cfg, cpu_cfg in tasks
-                ],
-                jobs=jobs,
-                policy=supervisor_policy,
-                recorder=recorder,
-                fault_plan=fault_plan,
-                spill_dir=path.parent / f"{path.name}.spill" if path is not None else None,
-                on_complete=on_complete,
-            )
-            report = supervisor.run()
-            # Fold in deterministic task order, like the serial loop.
-            for key, *_rest in tasks:
-                if key in report.outcomes:
-                    outcome = report.outcomes[key]
-                    absorb(outcome)
-                    merge_worker_state(outcome)
-                elif key in report.quarantined:
-                    result.quarantined[key] = dict(report.quarantined[key])
-            return finish()
-
-        if not parallel:
+        if not sharded:
             for key, workload, abtb, mech_cfg, cpu_cfg in tasks:
                 absorb(
                     _run_one_pair(
@@ -1411,46 +1370,40 @@ def run_campaign(
                 )
             return finish()
 
-        # -------------------------------------------------------- sharded
-        outcomes: dict[str, dict] = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(
-                    _campaign_worker,
-                    make_task(key, workload, abtb, mech_cfg, cpu_cfg),
-                ): key
-                for key, workload, abtb, mech_cfg, cpu_cfg in tasks
-            }
-            for future in as_completed(futures):
-                key = futures[future]
-                try:
-                    outcome = future.result()
-                except Exception as exc:  # worker process died
-                    outcome = {
-                        "key": key, "attempts": 1, "retries": 0,
-                        "failed": f"worker crashed: {type(exc).__name__}: {exc}",
-                        "summary": None, "metrics_state": None, "tracer_events": None,
-                    }
-                outcomes[key] = outcome
-                # Incremental checkpoint as pairs land (arrival order; the
-                # file's sorted keys make the bytes order-independent).
-                if path is not None and outcome["failed"] is None:
+        live: dict[str, dict] = {}
+
+        def on_complete(key: str, outcome: dict) -> None:
+            # Incremental checkpoint the moment a shard lands (completion
+            # order; sorted keys keep the bytes order-independent).
+            if outcome.get("failed") is None and outcome.get("summary") is not None:
+                live[key] = outcome["summary"]
+                if path is not None:
                     staged = dict(result.completed)
-                    staged.update(
-                        {
-                            k: o["summary"]
-                            for k, o in outcomes.items()
-                            if o["failed"] is None
-                        }
-                    )
+                    staged.update(live)
                     _save_checkpoint(path, staged)
 
-        # Merge in the serial loop's order so attempts/completed/failed and
-        # the obs streams are deterministic regardless of arrival order.
+        supervisor = CampaignSupervisor(
+            _campaign_worker,
+            [
+                (key, make_task(key, workload, abtb, mech_cfg, cpu_cfg))
+                for key, workload, abtb, mech_cfg, cpu_cfg in tasks
+            ],
+            jobs=jobs,
+            policy=supervisor_policy,
+            recorder=recorder,
+            fault_plan=fault_plan,
+            spill_dir=path.parent / f"{path.name}.spill" if path is not None else None,
+            on_complete=on_complete,
+        )
+        report = supervisor.run()
+        # Fold in deterministic task order, like the serial loop.
         for key, *_rest in tasks:
-            outcome = outcomes[key]
-            absorb(outcome)
-            merge_worker_state(outcome)
+            if key in report.outcomes:
+                outcome = report.outcomes[key]
+                absorb(outcome)
+                merge_worker_state(outcome)
+            elif key in report.quarantined:
+                result.quarantined[key] = dict(report.quarantined[key])
         return finish()
 
     try:

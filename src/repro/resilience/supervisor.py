@@ -1,9 +1,9 @@
 """Self-healing campaign supervisor: heartbeats, requeue, quarantine, salvage.
 
-The sharded campaign path used to hand its tasks to a bare
-``ProcessPoolExecutor`` — a worker that died took its shard's results
-with it, and a worker that hung stalled the whole campaign.  The
-supervisor replaces the pool with explicitly managed worker processes:
+Every sharded campaign (``run_campaign(jobs > 1)``) runs its shards
+here, in explicitly managed worker processes, so a worker that dies
+does not take its shard's results with it and a worker that hangs does
+not stall the whole campaign:
 
 * each shard runs in its own process which emits a **heartbeat** on a
   shared queue every ``heartbeat_interval_s``;
@@ -290,9 +290,11 @@ class CampaignSupervisor:
             while pending or running:
                 now = time.monotonic()
                 self._launch_ready(pending, running, queue, now)
-                self._drain_queue(queue, running, pending, report)
+                self._drain_queue(
+                    queue, running, pending, report, self.policy.poll_interval_s
+                )
                 self._check_deadlines(running, pending, report)
-                self._reap_dead(running, pending, report)
+                self._reap_dead(queue, running, pending, report)
                 if pending and not running:
                     # Everything eligible is in backoff; sleep until the
                     # soonest shard becomes ready.
@@ -347,14 +349,21 @@ class CampaignSupervisor:
                 spill_path=spill_path,
             )
 
-    def _drain_queue(self, queue, running, pending, report) -> None:
-        deadline = time.monotonic() + self.policy.poll_interval_s
+    def _drain_queue(self, queue, running, pending, report, wait: float) -> None:
+        """Handle worker messages: wait up to ``wait`` seconds for the
+        first one, then take only what is already queued.
+
+        Returning once the queue is empty, rather than at the end of the
+        wait, lets the caller launch the next pending shard into a slot
+        freed by a ``done`` or ``error`` message at once.
+        """
+        timeout = wait
         while True:
-            remaining = deadline - time.monotonic()
             try:
-                message = queue.get(timeout=max(0.0, remaining))
+                message = queue.get(timeout=timeout)
             except Exception:  # Empty (and spurious queue teardown races)
                 return
+            timeout = 0.0
             tag, key = message[0], message[1]
             handle = running.get(key)
             if handle is None:
@@ -378,8 +387,6 @@ class CampaignSupervisor:
                     IncidentKind.WORKER_DEATH,
                     f"worker for shard {key} raised: {message[2]}",
                 )
-            if remaining <= 0:
-                return
 
     def _check_deadlines(self, running, pending, report) -> None:
         now = time.monotonic()
@@ -403,11 +410,19 @@ class CampaignSupervisor:
                     pid=handle.process.pid,
                 )
 
-    def _reap_dead(self, running, pending, report) -> None:
-        for key in list(running):
-            handle = running[key]
-            if handle.done or handle.process.is_alive():
+    def _reap_dead(self, queue, running, pending, report) -> None:
+        dead = [
+            handle for handle in running.values()
+            if not handle.done and not handle.process.is_alive()
+        ]
+        if dead:
+            # An exited worker has flushed its last message into the queue:
+            # take it first, so a clean finish is not mistaken for a death.
+            self._drain_queue(queue, running, pending, report, 0.0)
+        for handle in dead:
+            if handle.done:
                 continue
+            key = handle.shard.key
             handle.process.join(timeout=5.0)
             del running[key]
             if self._try_salvage(handle, running, report):

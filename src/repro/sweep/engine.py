@@ -15,12 +15,12 @@ out/
 
 Execution rides the campaign runner end to end: points become
 :class:`~repro.experiments.runner.CampaignPoint` tasks, ``jobs`` shards
-them over the process pool, the checkpoint is written incrementally as
-points land, and a rerun of the same output directory resumes — a fully
-completed sweep re-executes *zero* points and goes straight to
-analysis.  Trace generation is deduplicated by construction: the trace
-key covers only (workload recipe, windows), so all points of one
-workload share one stored bundle, prefilled before the fan-out.
+them over supervised worker processes, the checkpoint is written
+incrementally as points land, and a rerun of the same output directory
+resumes — a fully completed sweep re-executes *zero* points and goes
+straight to analysis.  Trace generation is deduplicated by construction:
+the trace key covers only (workload recipe, windows), so all points of
+one workload share one stored bundle, prefilled before the fan-out.
 """
 
 from __future__ import annotations
@@ -151,7 +151,6 @@ def run_sweep(
     policy: RetryPolicy | None = None,
     recorder=None,
     bus=None,
-    supervise: bool = False,
 ) -> SweepResult:
     """Execute (or resume) a sweep into ``out_dir``.
 
@@ -182,7 +181,6 @@ def run_sweep(
         backend="batched",
         recorder=recorder,
         bus=bus,
-        supervise=supervise,
         campaign_id=f"sweep:{spec.name}",
     )
     return _finish(spec, out, points, campaign, dropped)

@@ -163,6 +163,13 @@ class TestAblation:
         assert smallest[2] > largest[2]  # more false flushes when small
         assert smallest[1] <= largest[1] + 0.02  # and no better skip rate
 
+    def test_replacement_study_runs_capacity_constrained(self):
+        policies = ablation.replacement_study(TINY)
+        assert sorted(policies) == ["fifo", "lru"]
+        # Capacity misses are what make the two policies differ.
+        assert policies["lru"] != policies["fifo"]
+        assert policies["lru"] >= policies["fifo"] - 0.01
+
     def test_explicit_invalidate_safe(self):
         with_bloom, without = ablation.explicit_invalidate_study(TINY)
         assert without.mechanism.stats.unsafe_skips == 0

@@ -15,12 +15,16 @@ unperturbed serial reference run.
 from __future__ import annotations
 
 import json
+import queue as queue_mod
+import time
+from collections import deque
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.errors import (
     CheckpointCorruptionError,
+    ConfigError,
     ExperimentError,
     TraceCorruptionError,
     TraceError,
@@ -47,6 +51,7 @@ from repro.resilience import (
     write_artifact,
 )
 from repro.resilience.incidents import load_incident_log
+from repro.resilience.supervisor import SupervisorReport, _Handle
 from repro.trace.batch import TRACE_HEADER_SIZE, TraceBatch
 from repro.uarch import CPU
 from repro.uarch.machine import (
@@ -336,6 +341,44 @@ def _shards(n: int):
     return [(f"s{i}", {"key": f"s{i}", "value": i}) for i in range(n)]
 
 
+class _StubQueue:
+    """Worker-message queue stand-in: hands out canned messages, then
+    behaves like an empty ``multiprocessing.Queue``."""
+
+    def __init__(self, messages):
+        self.messages = deque(messages)
+
+    def get(self, timeout):
+        if self.messages:
+            return self.messages.popleft()
+        time.sleep(timeout)
+        raise queue_mod.Empty
+
+
+class _StubProcess:
+    pid, exitcode = 4242, 0
+
+    def __init__(self, alive: bool):
+        self.alive = alive
+
+    def is_alive(self) -> bool:
+        return self.alive
+
+    def join(self, timeout=None) -> None:
+        pass
+
+
+def _stub_supervisor(tmp_path, alive: bool):
+    """A one-shard supervisor (2 s poll) and a running handle for it."""
+    policy = SupervisorPolicy(poll_interval_s=2.0, backoff_base_s=0.0)
+    sup = CampaignSupervisor(_echo_worker, _shards(1), policy=policy)
+    handle = _Handle(
+        shard=sup.shards[0], process=_StubProcess(alive), attempt=1,
+        last_heartbeat=time.monotonic(), spill_path=tmp_path / "s0.spill.json",
+    )
+    return sup, handle
+
+
 class TestSupervisor:
     def test_clean_run(self, tmp_path):
         sup = CampaignSupervisor(
@@ -425,6 +468,34 @@ class TestSupervisor:
         assert not report.ok and "s0" in report.quarantined
         assert "RuntimeError" in report.quarantined["s0"]["last_error"]
 
+    @pytest.mark.parametrize("tag", ["done", "error"])
+    def test_drain_returns_on_first_finished_shard(self, tmp_path, tag):
+        """A finished shard frees its slot at once: the drain must not sit
+        out the rest of the poll interval before the next launch."""
+        sup, handle = _stub_supervisor(tmp_path, alive=True)
+        payload = {"key": "s0", "summary": {"value": 0}} if tag == "done" else "boom"
+        queue = _StubQueue([("hb", "s0", 1), (tag, "s0", payload)])
+        running, pending, report = {"s0": handle}, deque(), SupervisorReport()
+        started = time.monotonic()
+        sup._drain_queue(queue, running, pending, report, sup.policy.poll_interval_s)
+        assert time.monotonic() - started < 1.0
+        assert not running and not queue.messages
+        if tag == "done":
+            assert report.outcomes["s0"]["summary"] == {"value": 0}
+        else:
+            assert list(pending) == [handle.shard] and "boom" in handle.shard.last_error
+
+    def test_reap_takes_exited_workers_last_message(self, tmp_path):
+        """A worker that exits right after reporting ``done`` completed; it
+        must not be salvaged or requeued as a death."""
+        sup, handle = _stub_supervisor(tmp_path, alive=False)
+        queue = _StubQueue([("done", "s0", {"key": "s0", "summary": {"value": 0}})])
+        running, pending, report = {"s0": handle}, deque(), SupervisorReport()
+        sup._reap_dead(queue, running, pending, report)
+        assert handle.shard.state is ShardState.COMPLETED
+        assert report.outcomes["s0"]["summary"] == {"value": 0}
+        assert not running and not pending
+
     def test_duplicate_keys_rejected(self):
         from repro.errors import SupervisorError
 
@@ -508,7 +579,6 @@ class TestSupervisedCampaign:
             SMOKE,
             abtb_sizes=ABTB,
             jobs=2,
-            supervise=True,
             backend="batched",
             machine_cache_dir=cache_dir,
             checkpoint_path=checkpoint,
@@ -541,6 +611,27 @@ class TestSupervisedCampaign:
         assert payload["degraded"] is False
         assert payload["incident_counts"] == counts
 
+    def test_fault_plan_on_serial_campaign_rejected(self):
+        """A chaos run that would not shard must fail loudly, not pass clean."""
+        plan = FaultPlan(kill_match="memcached")
+        with pytest.raises(ConfigError, match="fault plan"):
+            run_campaign(("memcached",), SMOKE, abtb_sizes=ABTB, jobs=1, fault_plan=plan)
+        with pytest.raises(ConfigError, match="fault plan"):
+            run_campaign(
+                ("memcached",), SMOKE, abtb_sizes=ABTB, jobs=2, fault_plan=plan,
+                sleep_fn=lambda s: None,
+            )
+
+    @pytest.mark.parametrize(
+        "flag", ["--chaos-kill", "--chaos-hang", "--chaos-diverge"]
+    )
+    def test_cli_chaos_without_jobs_exits_1(self, flag, capsys):
+        code = cli_main(
+            ["campaign", "--workloads", "memcached", "--abtb", "64", flag, "memcached"]
+        )
+        assert code == 1
+        assert "fault plan" in capsys.readouterr().err
+
     def test_quarantine_yields_degraded_partial_manifest(self, tmp_path):
         policy = SupervisorPolicy(
             shard_deadline_s=1.0,
@@ -556,7 +647,6 @@ class TestSupervisedCampaign:
             SMOKE,
             abtb_sizes=ABTB,
             jobs=2,
-            supervise=True,
             recorder=recorder,
             supervisor_policy=policy,
             fault_plan=FaultPlan(hang_match="memcached", hang_attempts=99),
@@ -581,7 +671,6 @@ class TestSupervisedCampaign:
             SMOKE,
             abtb_sizes=ABTB,
             jobs=2,
-            supervise=True,
             recorder=recorder,
             supervisor_policy=FAST,
             checkpoint_path=checkpoint,
@@ -594,7 +683,6 @@ class TestSupervisedCampaign:
             SMOKE,
             abtb_sizes=ABTB,
             jobs=2,
-            supervise=True,
             supervisor_policy=FAST,
             checkpoint_path=checkpoint,
         )
