@@ -9,8 +9,8 @@ claim mechanically rather than trusting it:
   CPU built from the same factory.  At every backend sync point (batch
   boundary, no lookahead outstanding) the reference machine is advanced to
   the identical stream position and the two full :meth:`CPU.snapshot`
-  payloads — every counter, every cache/TLB/BTB entry and LRU order, the
-  float cycle clock, mechanism state, marks — are compared field by field.
+  payloads — every counter, every cache/TLB/BTB entry and LRU order,
+  mechanism state, marks and their cycles — are compared field by field.
 * On divergence, the harness *shrinks*: it re-runs both machines from a
   cold start with ``batch_events=1`` so sync points land after (almost)
   every event, and reports the minimal event window ``[last-good,
@@ -21,8 +21,8 @@ claim mechanically rather than trusting it:
 
 Reference-side chunking is sound because sync positions are *pair-closed*:
 the backend never reports a sync point between a trampoline pair head and
-its tail (boundary-crossing pairs retire through the fallback before the
-sync fires), so replaying ``events[done:position]`` through the reference
+its tail (a call whose pair lookahead reads past a batch is held back
+and retired with the next batch), so replaying ``events[done:position]`` through the reference
 interpreter cannot split a lookahead window either.
 """
 
@@ -47,9 +47,9 @@ def snapshot_diff(reference: object, fast: object, path: str = "") -> list[tuple
     """Recursively compare two snapshot payloads.
 
     Returns ``(path, reference_value, fast_value)`` triples for every leaf
-    that differs.  Floats are compared exactly — the backends promise
-    bit-identical cycle arithmetic, so approximate equality would mask
-    exactly the drift this harness exists to catch.
+    that differs.  Floats are compared exactly — both backends compute
+    cycles by the same formula over the counters, so any difference is a
+    counter difference that approximate equality would mask.
     """
     if isinstance(reference, dict) and isinstance(fast, dict):
         diffs = []

@@ -415,7 +415,6 @@ class PerfCounterSampler:
     def sample(self) -> None:
         """Record one snapshot unconditionally (also used at end-of-run)."""
         counters = self.cpu.counters
-        counters.cycles = self.cpu.cycles  # keep CPI fresh mid-run
         t = float(counters.instructions)
         window = counters.delta(self._last)
         reg = self.registry

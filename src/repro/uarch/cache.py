@@ -6,6 +6,8 @@ counts of misses per kilo-instruction, which depend on tag state alone.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.uarch.component import check_geometry, decode_table, encode_table
 
@@ -17,6 +19,47 @@ def _in_lru_order(table: dict[int, int]) -> dict[int, int]:
     snapshots only guarantee the stamps, so restore re-sorts.
     """
     return dict(sorted(table.items(), key=lambda kv: kv[1]))
+
+
+def access_stream(structure, keys: np.ndarray) -> np.ndarray:
+    """Access ``keys`` (line or page numbers) in order on an LRU structure.
+
+    Leaves ``structure`` (a cache or TLB) exactly as one
+    ``access_line``/``access_page`` call per key would, and returns the
+    indexes of the keys that missed, ascending.  Sets are independent, so
+    each set's accesses are replayed on their own; a key equal to the
+    previous access to its set hits that set's most recently used entry,
+    so each run of equal keys is probed once, stamped as its last access.
+    """
+    n = len(keys)
+    if not n:
+        return np.empty(0, np.intp)
+    mask = structure._set_mask
+    order = np.argsort(keys & mask, kind="stable")
+    keys = keys[order]
+    heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    stamps = order[np.append(heads[1:], n) - 1] + (structure._stamp + 1)
+    probes = zip(
+        heads.tolist(),
+        (keys[heads] & mask).tolist(),
+        (keys[heads] >> mask.bit_length()).tolist(),
+        stamps.tolist(),
+    )
+    sets, ways = structure._sets, structure.ways
+    missed = []
+    for head, index, tag, stamp in probes:
+        entries = sets[index]
+        if tag in entries:
+            del entries[tag]
+        else:
+            missed.append(head)
+            if len(entries) >= ways:
+                del entries[next(iter(entries))]
+        entries[tag] = stamp
+    structure._stamp += n
+    structure.accesses += n
+    structure.misses += len(missed)
+    return np.sort(order[missed])
 
 
 class SetAssociativeCache:
@@ -103,17 +146,6 @@ class SetAssociativeCache:
     def line_shift(self) -> int:
         """``log2(line_bytes)`` — byte address → line number shift."""
         return self._line_shift
-
-    def hot_state(self) -> tuple:
-        """Lookup state for the batched backend's inline hot loop.
-
-        Returns ``(sets, set_mask, tag_shift, ways)``; ``sets`` is the
-        live per-set table list (mutated in place by the caller), and
-        ``tag_shift`` is ``set_mask.bit_length()`` — for a single-set
-        structure the mask is 0, the shift is 0, and ``line >> 0`` equals
-        the whole line, matching :meth:`access_line`'s tag rule.
-        """
-        return (self._sets, self._set_mask, self._set_mask.bit_length(), self.ways)
 
     # --------------------------------------------------------- SimComponent
 

@@ -139,7 +139,7 @@ def default_registry() -> "ComponentRegistry":
     registry.register("btb", lambda c: BTB(c.btb_entries, c.btb_ways))
     registry.register("gshare", lambda c: GsharePredictor(c.gshare_entries, c.history_bits))
     registry.register("ras", lambda c: ReturnAddressStack(c.ras_depth))
-    registry.register("counters", lambda c: PerfCounters())
+    registry.register("counters", lambda c: PerfCounters(c.cycle_weights()))
     return registry
 
 

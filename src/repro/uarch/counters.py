@@ -3,13 +3,31 @@
 Counter names mirror Table 4 of the paper (misses and mispredictions per
 kilo-instruction) plus mechanism-specific counters used by Figure 5 and
 the ablation experiments.
+
+Cycles are not counted: every cycle the timing model charges is a fixed
+penalty times a counted event, so :attr:`PerfCounters.cycles` is computed
+from the counters (:data:`CYCLE_TERMS`) and the bundle's penalty weights.
+Any two engines that agree on the counters therefore agree on cycles,
+bit for bit, whatever order they retired the events in.
 """
 
 from __future__ import annotations
 
+#: The counted events that cost cycles, in the order the cycle sum adds them.
+CYCLE_TERMS = (
+    "instructions",
+    "l1i_misses",
+    "l1d_misses",
+    "l2_misses",
+    "itlb_misses",
+    "dtlb_misses",
+    "branch_mispredictions",
+    "direct_btb_bubbles",
+)
+
+#: Stored counters, in declaration order.
 _FIELDS = (
     "instructions",
-    "cycles",
     "l1i_accesses",
     "l1i_misses",
     "l1d_accesses",
@@ -24,13 +42,13 @@ _FIELDS = (
     "branch_mispredictions",
     "btb_lookups",
     "btb_misses",
+    "direct_btb_bubbles",
     "loads",
     "stores",
     "trampolines_executed",
     "trampolines_skipped",
     "trampoline_instructions",
     "got_loads",
-    "resolver_runs",
     "abtb_hits",
     "abtb_misses",
     "abtb_inserts",
@@ -39,17 +57,26 @@ _FIELDS = (
     "context_switches",
 )
 
+#: Every reportable field: the stored counters plus the derived cycles.
+_REPORTED = ("instructions", "cycles") + _FIELDS[1:]
+
 
 class PerfCounters:
     """A bundle of monotonically increasing event counters.
 
     Supports snapshot/delta arithmetic so experiments can attribute costs
     to individual requests, and PKI normalisation for paper-style tables.
+
+    ``weights`` holds the cycle penalty of each :data:`CYCLE_TERMS` entry
+    (see :meth:`repro.uarch.cpu.CPUConfig.cycle_weights`); a bundle
+    without weights costs no cycles.  Bundles derived by :meth:`copy`,
+    :meth:`delta` and :meth:`merge` keep the weights.
     """
 
-    __slots__ = _FIELDS
+    __slots__ = _FIELDS + ("weights",)
 
-    def __init__(self, **initial: int) -> None:
+    def __init__(self, weights: tuple[float, ...] | None = None, **initial: int) -> None:
+        self.weights = weights
         for name in _FIELDS:
             setattr(self, name, initial.pop(name, 0))
         if initial:
@@ -57,35 +84,50 @@ class PerfCounters:
 
     @staticmethod
     def field_names() -> tuple[str, ...]:
-        """All counter names in declaration order."""
-        return _FIELDS
+        """All reportable fields (counters and ``cycles``) in order."""
+        return _REPORTED
+
+    @property
+    def cycles(self) -> float:
+        """Cycles charged for the counted events (penalty-weighted sum)."""
+        return self.cycles_at([getattr(self, name) for name in CYCLE_TERMS])
+
+    def cycles_at(self, counts) -> float:
+        """``sum(weight * count)`` for ``counts`` of the :data:`CYCLE_TERMS`
+        events, added in that fixed order — what :attr:`cycles` reads when
+        the counters hold ``counts``."""
+        cycles = 0.0
+        if self.weights is not None:
+            for weight, count in zip(self.weights, counts):
+                cycles += weight * count
+        return cycles
 
     def copy(self) -> "PerfCounters":
         """An independent snapshot of the current values."""
-        out = PerfCounters()
+        out = PerfCounters(self.weights)
         for name in _FIELDS:
             setattr(out, name, getattr(self, name))
         return out
 
     def delta(self, earlier: "PerfCounters") -> "PerfCounters":
         """Counters accumulated since ``earlier`` (self - earlier)."""
-        out = PerfCounters()
+        out = PerfCounters(self.weights)
         for name in _FIELDS:
             setattr(out, name, getattr(self, name) - getattr(earlier, name))
         return out
 
     def merge(self, other: "PerfCounters") -> "PerfCounters":
         """Element-wise sum into a new bundle (multi-run aggregation)."""
-        out = PerfCounters()
+        out = PerfCounters(self.weights)
         for name in _FIELDS:
             setattr(out, name, getattr(self, name) + getattr(other, name))
         return out
 
     def _value(self, field: str) -> int:
         """A counter value, with a helpful error for typo'd field names."""
-        if field not in _FIELDS:
+        if field not in _REPORTED:
             raise ValueError(
-                f"unknown counter field {field!r}; valid fields: {', '.join(_FIELDS)}"
+                f"unknown counter field {field!r}; valid fields: {', '.join(_REPORTED)}"
             )
         return getattr(self, field)
 
@@ -112,14 +154,14 @@ class PerfCounters:
         return self.cycles / self.instructions if self.instructions else 0.0
 
     def as_dict(self) -> dict[str, int]:
-        """Plain dict of all counters."""
-        return {name: getattr(self, name) for name in _FIELDS}
+        """Plain dict of all counters, ``cycles`` included."""
+        return {name: getattr(self, name) for name in _REPORTED}
 
     # --------------------------------------------------------- SimComponent
 
     def snapshot(self) -> dict:
-        """All counter values, JSON-safe."""
-        return self.as_dict()
+        """All stored counter values, JSON-safe (cycles are derived)."""
+        return {name: getattr(self, name) for name in _FIELDS}
 
     def restore(self, state: dict) -> None:
         """Restore a snapshot; unknown fields raise ValueError."""
@@ -136,7 +178,7 @@ class PerfCounters:
 
     def describe(self) -> dict:
         """Static metadata: the counter fields tracked."""
-        return {"kind": "perf_counters", "fields": list(_FIELDS)}
+        return {"kind": "perf_counters", "fields": list(_REPORTED)}
 
     def table4_row(self) -> dict[str, float]:
         """The five PKI metrics of the paper's Table 4."""
@@ -149,5 +191,5 @@ class PerfCounters:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{n}={getattr(self, n)}" for n in _FIELDS if getattr(self, n))
+        inner = ", ".join(f"{n}={getattr(self, n)}" for n in _REPORTED if getattr(self, n))
         return f"PerfCounters({inner})"

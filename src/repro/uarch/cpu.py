@@ -15,9 +15,13 @@ constructed with.  That buys two things:
 * **swappability** — alternative structures drop in by overriding a
   registry entry, without touching the CPU;
 * **snapshot/restore** — :meth:`CPU.snapshot` serialises the complete
-  machine state (components, mechanism, cycle clock, marks) to a
+  machine state (components, mechanism, marks) to a
   JSON-safe dict and :meth:`CPU.restore` reproduces it exactly, which is
   what :mod:`repro.uarch.machine` checkpoints are built on.
+
+Handlers charge structures and bump counters only: :attr:`CPU.cycles` is
+computed from the counters (see :mod:`repro.uarch.counters`), so no
+handler adds to a cycle clock.
 
 Event handling is a dispatch table over per-kind handlers
 (:attr:`CPU._dispatch`); the trampoline-pair lookahead runs through an
@@ -157,6 +161,20 @@ class CPUConfig:
                 f"non-negative, got {self.direct_btb_bubble!r}"
             )
 
+    def cycle_weights(self) -> tuple[float, ...]:
+        """Cycle penalty of each :data:`~repro.uarch.counters.CYCLE_TERMS` event."""
+        t = self.timing
+        return (
+            t.base_cpi,
+            t.l1i_miss,
+            t.l1d_miss,
+            t.l2_miss,
+            t.itlb_miss,
+            t.dtlb_miss,
+            t.mispredict,
+            self.direct_btb_bubble,
+        )
+
     def as_dict(self) -> dict:
         """JSON-safe dict of every field (timing nested as a dict)."""
         return asdict(self)
@@ -176,7 +194,10 @@ class CPUConfig:
 
 @dataclass
 class Mark:
-    """A request/phase boundary observed in the trace."""
+    """A request/phase boundary observed in the trace.
+
+    ``cycles`` is the penalty-weighted counter sum at the mark.
+    """
 
     tag: object
     instructions: int
@@ -287,8 +308,10 @@ class EventCursor:
 
 
 #: Schema version of :meth:`CPU.snapshot` payloads.  Version 2: the
-#: Bloom filter snapshot carries its distinct-key set.
-CPU_SNAPSHOT_VERSION = 2
+#: Bloom filter snapshot carries its distinct-key set.  Version 3: cycles
+#: are derived from the counters, which gained ``direct_btb_bubbles`` and
+#: lost ``resolver_runs``.
+CPU_SNAPSHOT_VERSION = 3
 
 
 class CPU:
@@ -323,7 +346,6 @@ class CPU:
         for name, component in self.components.items():
             setattr(self, name, component)
         self.counters: PerfCounters  # for type checkers; set via components
-        self.cycles = 0.0
         self.marks: list[Mark] = []
         self._dispatch = self._build_dispatch()
 
@@ -345,14 +367,17 @@ class CPU:
             K.MARK: self._handle_mark,
         }
 
+    @property
+    def cycles(self) -> float:
+        """Cycles so far: the penalty-weighted sum of the counters."""
+        return self.counters.cycles
+
     # ------------------------------------------------------------ plumbing
 
     def _fetch(self, ev: TraceEvent) -> None:
         """Charge instruction fetch for an event's code bytes."""
         c = self.counters
-        t = self.config.timing
         c.instructions += ev.n_instr
-        self.cycles += ev.n_instr * t.base_cpi
 
         shift = self.l1i._line_shift
         first = ev.pc >> shift
@@ -361,11 +386,9 @@ class CPU:
         for line in range(first, last + 1):
             if not self.l1i.access_line(line):
                 c.l1i_misses += 1
-                self.cycles += t.l1i_miss
                 c.l2_accesses += 1
                 if not self.l2.access_line(line):
                     c.l2_misses += 1
-                    self.cycles += t.l2_miss
 
         pshift = self.itlb._page_shift
         pfirst = ev.pc >> pshift
@@ -374,34 +397,32 @@ class CPU:
         before = self.itlb.misses
         for vpn in range(pfirst, plast + 1):
             self.itlb.access_page(vpn)
-        t_misses = self.itlb.misses - before
-        c.itlb_misses += t_misses
-        self.cycles += t_misses * t.itlb_miss
+        c.itlb_misses += self.itlb.misses - before
 
     def _data_access(self, addr: int, is_store: bool) -> None:
         """Charge a data-side access (D-TLB walk + L1D line)."""
         c = self.counters
-        t = self.config.timing
         if is_store:
             c.stores += 1
         else:
             c.loads += 1
         if not self.dtlb.access(addr):
             c.dtlb_misses += 1
-            self.cycles += t.dtlb_miss
         c.dtlb_accesses += 1
         if not self.l1d.access(addr):
             c.l1d_misses += 1
-            self.cycles += t.l1d_miss
             c.l2_accesses += 1
             if not self.l2.access(addr):
                 c.l2_misses += 1
-                self.cycles += t.l2_miss
         c.l1d_accesses += 1
 
     def _mispredict(self) -> None:
         self.counters.branch_mispredictions += 1
-        self.cycles += self.config.timing.mispredict
+
+    def _bubble(self) -> None:
+        # Direct target: decode redirects the front end — a bubble, not
+        # an architectural misprediction.
+        self.counters.direct_btb_bubbles += 1
 
     def _btb_lookup(self, pc: int) -> int | None:
         self.counters.btb_lookups += 1
@@ -424,7 +445,6 @@ class CPU:
             if handler is None:
                 raise TraceError(f"unhandled event kind {ev.kind!r}")
             handler(ev, cursor)
-        self.counters.cycles = self.cycles
         return self.counters
 
     # ------------------------------------------------------ event handlers
@@ -509,7 +529,7 @@ class CPU:
         self._context_switch()
 
     def _handle_mark(self, ev: TraceEvent, cursor: EventCursor) -> None:
-        self.marks.append(Mark(ev.tag, self.counters.instructions, self.cycles))
+        self.marks.append(Mark(ev.tag, self.counters.instructions, self.counters.cycles))
 
     # -------------------------------------------------------- branch kinds
 
@@ -520,9 +540,7 @@ class CPU:
         self.ras.push(ev.pc + ev.nbytes)
         pred = self._btb_lookup(ev.pc)
         if pred is None:
-            # Direct target: decode redirects the front end — a bubble,
-            # not an architectural misprediction.
-            self.cycles += self.config.direct_btb_bubble
+            self._bubble()
             self.btb.update(ev.pc, ev.target)
         elif pred != ev.target:
             # Only possible if the entry was promoted and then the pair
@@ -533,9 +551,8 @@ class CPU:
     def _jmp_direct(self, ev: TraceEvent) -> None:
         self._fetch(ev)
         self.counters.branches += 1
-        pred = self._btb_lookup(ev.pc)
-        if pred is None:
-            self.cycles += self.config.direct_btb_bubble
+        if self._btb_lookup(ev.pc) is None:
+            self._bubble()
             self.btb.update(ev.pc, ev.target)
 
     def _call_indirect(self, ev: TraceEvent) -> None:
@@ -580,9 +597,8 @@ class CPU:
         if self.gshare.record(ev.pc, ev.taken):
             self._mispredict()
         if ev.taken:
-            pred = self._btb_lookup(ev.pc)
-            if pred is None:
-                self.cycles += self.config.direct_btb_bubble
+            if self._btb_lookup(ev.pc) is None:
+                self._bubble()
             self.btb.update(ev.pc, ev.target)
 
     def _ret(self, ev: TraceEvent) -> None:
@@ -648,7 +664,7 @@ class CPU:
                 self._mispredict()
                 self.btb.update(call.pc, update_target)
             elif pred is None:
-                self.cycles += self.config.direct_btb_bubble
+                self._bubble()
                 self.btb.update(call.pc, update_target)
                 if mapped is not None:
                     mech.note_promotion()
@@ -659,7 +675,7 @@ class CPU:
                 mech.note_promotion()
         else:
             if pred is None:
-                self.cycles += self.config.direct_btb_bubble
+                self._bubble()
                 self.btb.update(call.pc, real)
             elif pred != real:
                 self._mispredict()
@@ -723,16 +739,16 @@ class CPU:
     # --------------------------------------------------------- SimComponent
     #
     # The CPU is itself a component: its snapshot is the composition of
-    # its parts plus the cycle clock and the mark stream.
+    # its parts plus the mark stream.
 
     def snapshot(self) -> dict:
         """Complete machine state as a JSON-safe dict.
 
         Mark tags that are tuples are serialised as lists and converted
         back to tuples by :meth:`restore` — the only tag shapes the
-        workloads emit are flat tuples, strings and None.
+        workloads emit are flat tuples, strings and None.  ``cycles`` is
+        derived from the counters and only recorded for readers.
         """
-        self.counters.cycles = self.cycles
         state: dict = {
             "version": CPU_SNAPSHOT_VERSION,
             "components": {
@@ -774,19 +790,17 @@ class CPU:
             component.restore(comps[name])
         if self.mechanism is not None:
             self.mechanism.restore(mech_state)
-        self.cycles = float(state["cycles"])
         self.marks = [
             Mark(_decode_tag(tag), int(instructions), float(cycles))
             for tag, instructions, cycles in state["marks"]
         ]
 
     def reset(self) -> None:
-        """Cold machine: every component reset, clock zeroed, marks gone."""
+        """Cold machine: every component reset, marks gone."""
         for component in self.components.values():
             component.reset()
         if self.mechanism is not None:
             self.mechanism.reset()
-        self.cycles = 0.0
         self.marks = []
 
     def describe(self) -> dict:
@@ -804,8 +818,7 @@ class CPU:
     # ----------------------------------------------------------- reporting
 
     def finalize(self) -> PerfCounters:
-        """Sync the cycle accumulator into the counters and return them."""
-        self.counters.cycles = self.cycles
+        """Sync the mechanism's flush counts into the counters and return them."""
         if self.mechanism is not None:
             self.counters.abtb_flushes = self.mechanism.abtb.flushes
             self.counters.bloom_store_hits = self.mechanism.stats.store_flushes

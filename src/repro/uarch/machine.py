@@ -31,9 +31,12 @@ from repro.resilience.integrity import read_artifact, write_artifact
 from repro.uarch.cpu import CPU, CPUConfig
 
 #: Schema version of serialised machine states.  Version 2: embeds the
-#: version-2 CPU snapshot (Bloom filter key set); version-1 checkpoints
-#: are rejected on load, which :class:`CheckpointStore` treats as a miss.
-MACHINE_STATE_VERSION = 2
+#: version-2 CPU snapshot (Bloom filter key set).  Version 3: embeds the
+#: version-3 CPU snapshot (cycles derived from the counters).  The
+#: version is part of every checkpoint key, so older machines miss by key;
+#: a stale file found anyway is rejected on load, which
+#: :class:`CheckpointStore` treats as a miss.
+MACHINE_STATE_VERSION = 3
 
 #: Integrity-envelope schema name for on-disk machine states.
 MACHINE_STATE_SCHEMA = "repro.machine-state"

@@ -72,15 +72,6 @@ class TLB:
         """Byte address → virtual page number shift."""
         return self._page_shift
 
-    def hot_state(self) -> tuple:
-        """Lookup state for the batched backend's inline hot loop.
-
-        Returns ``(sets, set_mask, tag_shift, ways)`` with the same tag
-        rule as :meth:`access_page` (``tag_shift`` is 0 for a single-set
-        TLB, where ``vpn >> 0`` is the full VPN).
-        """
-        return (self._sets, self._set_mask, self._set_mask.bit_length(), self.ways)
-
     # --------------------------------------------------------- SimComponent
 
     def snapshot(self) -> dict:

@@ -186,8 +186,9 @@ class TestCounterExtras:
         assert set(d) == set(PerfCounters.field_names())
 
     def test_cpi_property(self):
-        c = PerfCounters(instructions=100)
-        c.cycles = 250.0
+        # 100 instructions at 2 cycles plus 5 L1I misses at 10 cycles.
+        c = PerfCounters((2.0, 10.0) + (0.0,) * 6, instructions=100, l1i_misses=5)
+        assert c.cycles == 250.0
         assert c.cpi == 2.5
 
     def test_l2_counters_populate(self):

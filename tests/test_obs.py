@@ -375,8 +375,8 @@ class TestCounterHelpers:
         assert counters.rate("got_loads") == pytest.approx(0.25)
 
     def test_rate_with_custom_denominator(self):
-        counters = PerfCounters()
-        counters.cycles = 400
+        # One cycle per instruction, nothing else charged: 400 cycles.
+        counters = PerfCounters((1.0,) + (0.0,) * 7, instructions=400)
         counters.l1i_misses = 100
         assert counters.rate("l1i_misses", per="cycles") == pytest.approx(0.25)
 
