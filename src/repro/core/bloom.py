@@ -22,6 +22,27 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _pack(positions: set[int]) -> int:
+    """The integer whose set bits are ``positions``."""
+    raw = bytearray((max(positions) >> 3) + 1 if positions else 0)
+    for pos in positions:
+        raw[pos >> 3] |= 1 << (pos & 7)
+    return int.from_bytes(raw, "little")
+
+
+def _unpack(bitset: int) -> set[int]:
+    """Inverse of :func:`_pack`."""
+    if bitset < 0:
+        raise ConfigError(f"bloom: snapshot bitset {bitset:#x} is negative")
+    digits = bin(bitset)[:1:-1]  # least significant bit first
+    on = set()
+    pos = digits.find("1")
+    while pos >= 0:
+        on.add(pos)
+        pos = digits.find("1", pos + 1)
+    return on
+
+
 class BloomFilter:
     """A counting-free Bloom filter sized for hardware implementation.
 
@@ -38,7 +59,10 @@ class BloomFilter:
         self.bits = bits
         self.hashes = hashes
         self._mask = bits - 1
-        self._bitset = 0
+        # Positions of the set bits.  A set, not a ``bits``-wide int, so a
+        # probe costs O(hashes) whatever the filter size; the snapshot
+        # still records the bitset as one hex integer.
+        self._on: set[int] = set()
         # Distinct keys currently represented (re-inserting a key the
         # filter already holds must not grow the population, or the
         # analytic false-positive estimate drifts from reality).
@@ -69,8 +93,7 @@ class BloomFilter:
         the population unchanged.
         """
         self.adds += 1
-        for pos in self._positions(key):
-            self._bitset |= 1 << pos
+        self._on.update(self._positions(key))
         self._keys.add(key)
 
     def maybe_contains(self, key: int) -> bool:
@@ -80,16 +103,16 @@ class BloomFilter:
             # The probe is counted (hardware always queries), but an
             # empty filter has no bits set: the miss is immediate.
             return False
-        bitset = self._bitset
+        on = self._on
         for pos in self._positions(key):
-            if not (bitset >> pos) & 1:
+            if pos not in on:
                 return False
         self.hits += 1
         return True
 
     def clear(self) -> None:
         """Reset all bits (performed together with an ABTB flush)."""
-        self._bitset = 0
+        self._on.clear()
         self._keys.clear()
 
     # --------------------------------------------------------- SimComponent
@@ -99,7 +122,7 @@ class BloomFilter:
         return {
             "bits": self.bits,
             "hashes": self.hashes,
-            "bitset": hex(self._bitset),
+            "bitset": hex(_pack(self._on)),
             "keys": sorted(self._keys),
             "population": len(self._keys),
             "adds": self.adds,
@@ -115,7 +138,7 @@ class BloomFilter:
                 f"hashes={state.get('hashes')!r}) does not match instance "
                 f"(bits={self.bits}, hashes={self.hashes})"
             )
-        bitset = int(state["bitset"], 16)
+        on = _unpack(int(state["bitset"], 16))
         keys = {int(k) for k in state["keys"]}
         if int(state["population"]) != len(keys):
             raise ConfigError(
@@ -124,12 +147,12 @@ class BloomFilter:
             )
         for key in keys:
             for pos in self._positions(key):
-                if not (bitset >> pos) & 1:
+                if pos not in on:
                     raise ConfigError(
                         f"bloom: snapshot bitset is missing bit {pos} for "
                         f"key {key:#x}"
                     )
-        self._bitset = bitset
+        self._on = on
         self._keys = keys
         self.adds = int(state["adds"])
         self.queries = int(state["queries"])
@@ -159,7 +182,7 @@ class BloomFilter:
     @property
     def set_bits(self) -> int:
         """Number of bits currently set."""
-        return bin(self._bitset).count("1")
+        return len(self._on)
 
     @property
     def false_positive_rate(self) -> float:

@@ -2,19 +2,20 @@
 
 Every persistent artifact the campaign layer trusts across process
 boundaries — machine checkpoints, campaign resume checkpoints, shard
-spill files, manifests — is written through this module.  The on-disk
-form is an *envelope*::
+spill files, manifests, service results — is written through this
+module.  The on-disk form is an *envelope*, one line of JSON with sorted
+keys::
 
-    {
-      "schema": "repro.machine-state",     # artifact family
-      "schema_version": 2,                 # family's schema version
-      "sha256": "<hex digest>",            # over the canonical payload
-      "payload": { ... }                   # the actual content
-    }
+    {"payload": {...}, "schema": "repro.machine-state", "schema_version": 3, "sha256": "<hex>"}
 
-The checksum is computed over the canonical payload serialisation
-(``json.dumps(payload, sort_keys=True)``), so it is independent of the
-envelope's own formatting.  Writes are atomic (temp file + ``os.replace``),
+``payload`` is the actual content, ``schema`` and ``schema_version`` name
+the artifact family and its version, and ``sha256`` is the digest of the
+canonical payload serialisation (``json.dumps(payload, sort_keys=True)``).
+The payload is stored *as* that canonical text, so one encode serves
+both the checksum and the file body, and the file is exactly
+``json.dumps(envelope, sort_keys=True)``.  The checksum is independent of
+the envelope's own formatting, so envelopes written indented by earlier
+versions still read.  Writes are atomic (temp file + ``os.replace``),
 so a crash mid-write leaves either the old artifact or none — never a
 torn one.  Reads verify the envelope shape, schema name, schema version
 and checksum, raising :class:`~repro.errors.CheckpointCorruptionError`
@@ -50,27 +51,44 @@ def canonical_payload(payload: object) -> str:
 
 def payload_checksum(payload: object) -> str:
     """SHA-256 hex digest of the canonical payload serialisation."""
-    return hashlib.sha256(canonical_payload(payload).encode()).hexdigest()
+    return _digest(canonical_payload(payload))
 
 
-def wrap_artifact(payload: object, schema: str, schema_version: int) -> str:
-    """Serialise a payload into its envelope text (deterministic bytes)."""
-    envelope = {
-        "schema": schema,
-        "schema_version": schema_version,
-        "sha256": payload_checksum(payload),
-        "payload": payload,
-    }
-    return json.dumps(envelope, indent=2, sort_keys=True)
+def _digest(canonical: str) -> str:
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def wrap_artifact(canonical: str, schema: str, schema_version: int) -> str:
+    """The envelope text around a payload's :func:`canonical_payload` text.
+
+    Deterministic bytes, equal to ``json.dumps(envelope, sort_keys=True)``
+    but without encoding the payload a second time.
+    """
+    return (
+        f'{{"payload": {canonical}, "schema": {json.dumps(schema)}, '
+        f'"schema_version": {json.dumps(schema_version)}, '
+        f'"sha256": "{_digest(canonical)}"}}'
+    )
 
 
 def write_artifact(
     path: str | Path, payload: object, schema: str, schema_version: int
 ) -> Path:
     """Atomically write an integrity-checked artifact."""
+    return write_canonical(path, canonical_payload(payload), schema, schema_version)
+
+
+def write_canonical(
+    path: str | Path, canonical: str, schema: str, schema_version: int
+) -> Path:
+    """:func:`write_artifact` for a payload already in canonical text.
+
+    For callers that need the encoding themselves first (a machine state
+    validates the very text it writes).
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = wrap_artifact(payload, schema, schema_version)
+    text = wrap_artifact(canonical, schema, schema_version)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

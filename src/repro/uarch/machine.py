@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from repro.core.config import MechanismConfig
 from repro.core.mechanism import TrampolineSkipMechanism
 from repro.errors import CheckpointCorruptionError, ConfigError
 from repro.resilience.incidents import IncidentKind
-from repro.resilience.integrity import read_artifact, write_artifact
+from repro.resilience.integrity import canonical_payload, read_artifact, write_canonical
 from repro.uarch.cpu import CPU, CPUConfig
 
 #: Schema version of serialised machine states.  Version 2: embeds the
@@ -120,7 +120,9 @@ class MachineState:
 
     def to_json(self) -> str:
         """Canonical JSON (sorted keys, so equal states serialise equally)."""
-        return json.dumps(asdict(self), sort_keys=True)
+        # A shallow field dict: the encoder walks the snapshot itself, so
+        # there is no need to deep-copy it first as ``asdict`` would.
+        return canonical_payload({f.name: getattr(self, f.name) for f in fields(self)})
 
     @classmethod
     def from_payload(cls, data: object) -> "MachineState":
@@ -150,12 +152,13 @@ class MachineState:
     def save(self, path: str | Path) -> Path:
         """Atomically write the state inside an integrity envelope.
 
-        The round-trip is validated first; the payload checksum and schema
-        version in the envelope let :meth:`load` distinguish truncation and
-        bit rot from honest absence.
+        The round-trip is validated first, on the same canonical text
+        that is then checksummed and written; the payload checksum and
+        schema version in the envelope let :meth:`load` distinguish
+        truncation and bit rot from honest absence.
         """
-        self.validate_roundtrip()
-        return write_artifact(path, asdict(self), MACHINE_STATE_SCHEMA, MACHINE_STATE_VERSION)
+        text = self.validate_roundtrip()
+        return write_canonical(path, text, MACHINE_STATE_SCHEMA, MACHINE_STATE_VERSION)
 
     @classmethod
     def load(cls, path: str | Path) -> "MachineState":
@@ -170,18 +173,20 @@ class MachineState:
 
     # ---------------------------------------------------------- validation
 
-    def validate_roundtrip(self) -> None:
+    def validate_roundtrip(self) -> str:
         """Prove the state survives JSON and restores bit-for-bit.
 
-        Serialises to JSON, rebuilds a fresh machine from the parsed copy,
-        and compares its re-taken snapshot against the original payload.
+        Serialises to canonical JSON, rebuilds a fresh machine from the
+        parsed copy, and compares its re-taken snapshot against that
+        parsed copy (the original with tuples normalised to lists).
         Raises :class:`ConfigError` on any divergence — a checkpoint that
-        fails this must never be written to disk.
+        fails this must never be written to disk.  Returns the validated
+        text, which :meth:`save` writes.
         """
-        clone = MachineState.from_json(self.to_json())
-        cpu = clone.build_cpu()
-        retaken = cpu.snapshot()
-        original = json.loads(json.dumps(self.cpu))  # normalise tuples → lists
+        text = self.to_json()
+        clone = MachineState.from_json(text)
+        retaken = clone.build_cpu().snapshot()
+        original = clone.cpu
         if retaken != original:
             diverged = [
                 name
@@ -193,6 +198,7 @@ class MachineState:
                 f"machine state failed round-trip validation "
                 f"(diverging components: {diverged or 'top-level fields'})"
             )
+        return text
 
 
 def machine_key(**parts) -> str:

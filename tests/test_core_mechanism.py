@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core import ABTB, ABTB_ENTRY_BYTES, BloomFilter, MechanismConfig, TrampolineSkipMechanism
@@ -85,6 +87,31 @@ class TestBloomFilter:
 
     def test_storage_bytes(self):
         assert BloomFilter(8192, 2).storage_bytes == 1024
+
+    @pytest.mark.parametrize(
+        "bits, digest",
+        [
+            (64, "7409d053840736318ee6eeeddfee25b2be4ebbebf9143301285becd9f4e9efc4"),
+            (1 << 17, "b78c4d360944f17745412c3a86ad7355c3b11998e0a94e46cad8f53689e73084"),
+        ],
+        ids=["64", "2^17"],
+    )
+    def test_snapshot_bitset_pinned_and_restore_checked(self, bits, digest):
+        # The hex bitset is part of every saved machine state: its bytes
+        # must not depend on how the filter holds its bits in memory.
+        bloom = BloomFilter(bits, 2)
+        for i in range(3):
+            bloom.add(0x601000 + 8 * i)
+        snap = bloom.snapshot()
+        assert hashlib.sha256(snap["bitset"].encode()).hexdigest() == digest
+        restored = BloomFilter(bits, 2)
+        restored.restore(snap)
+        assert restored.snapshot() == snap
+        assert restored.maybe_contains(0x601008)
+        bitset = int(snap["bitset"], 16)
+        dropped = {**snap, "bitset": hex(bitset & (bitset - 1))}  # lowest set bit cleared
+        with pytest.raises(ConfigError, match="missing bit"):
+            BloomFilter(bits, 2).restore(dropped)
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):

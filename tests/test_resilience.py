@@ -30,6 +30,8 @@ from repro.errors import (
     TraceError,
 )
 from repro.experiments.runner import (
+    CHECKPOINT_SCHEMA,
+    CHECKPOINT_VERSION,
     _load_checkpoint,
     _save_checkpoint,
     run_campaign,
@@ -46,6 +48,7 @@ from repro.resilience import (
     ShardState,
     SupervisorPolicy,
     WatchdogPolicy,
+    payload_checksum,
     read_artifact,
     validate_incident_log,
     write_artifact,
@@ -118,6 +121,44 @@ class TestIntegrityEnvelope:
         payload = {"b": [1, 2, 3], "a": {"nested": True}}
         write_artifact(path, payload, "repro.test", 1)
         assert read_artifact(path, "repro.test", 1) == payload
+        # One compact line, exactly the sorted-key encoding of the
+        # envelope, checksummed as the service journal checksums records.
+        envelope = json.loads(path.read_text())
+        assert envelope["sha256"] == payload_checksum(payload)
+        assert path.read_text() == json.dumps(envelope, sort_keys=True)
+
+    def test_equal_payloads_write_identical_bytes(self, tmp_path):
+        one = {"b": [1, 2], "a": {"y": 1, "x": 2}}
+        other = {"a": {"x": 2, "y": 1}, "b": [1, 2]}  # equal, built in another order
+        first = write_artifact(tmp_path / "1.json", one, "repro.test", 1)
+        second = write_artifact(tmp_path / "2.json", other, "repro.test", 1)
+        assert first.read_bytes() == second.read_bytes()
+        state = _machine_state()
+        saved = [state.save(tmp_path / f"m{i}.json").read_bytes() for i in range(2)]
+        assert saved[0] == saved[1]
+
+    @pytest.mark.parametrize("kind", ["machine-state", "campaign-checkpoint"])
+    def test_indented_envelope_still_reads(self, tmp_path, kind):
+        """Artifacts written by the earlier indented writer keep loading."""
+        path = tmp_path / "old.json"
+        if kind == "machine-state":
+            state = _machine_state()
+            payload = json.loads(state.to_json())
+            schema, version = MACHINE_STATE_SCHEMA, MACHINE_STATE_VERSION
+        else:
+            payload = {"completed": {"a": {"n": 1}}}
+            schema, version = CHECKPOINT_SCHEMA, CHECKPOINT_VERSION
+        envelope = {
+            "schema": schema,
+            "schema_version": version,
+            "sha256": payload_checksum(payload),
+            "payload": payload,
+        }
+        path.write_text(json.dumps(envelope, indent=2, sort_keys=True))
+        if kind == "machine-state":
+            assert MachineState.load(path).cpu == payload["cpu"]
+        else:
+            assert _load_checkpoint(path) == payload["completed"]
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "artifact.json"

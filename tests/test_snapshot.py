@@ -26,6 +26,7 @@ from repro.isa.kinds import EventKind
 from repro.trace.engine import LinkMode, TraceCursor
 from repro.uarch import CPU, CPUConfig, CheckpointStore, MachineState
 from repro.uarch.component import default_registry, verify_component_roundtrip
+from repro.uarch.counters import PerfCounters
 from repro.uarch.cpu import ChainedHooks, CPUHooks
 from repro.workloads import ALL_WORKLOADS, Workload
 
@@ -187,6 +188,20 @@ def test_machine_state_save_load_verify(tmp_path) -> None:
 
     with pytest.raises(ConfigError):
         loaded.restore_into(CPU())  # no mechanism → config mismatch
+
+
+def test_diverging_restore_is_refused_and_not_written(tmp_path, monkeypatch) -> None:
+    """A state that does not survive rebuild + restore never reaches disk."""
+    cpu = CPU(mechanism=TrampolineSkipMechanism(MechanismConfig(abtb_entries=32)))
+    cpu.run(Workload(ALL_WORKLOADS["memcached"].config()).startup_trace())
+    cpu.finalize()
+    state = MachineState.capture(cpu)
+    # A component that drops its state on restore.
+    monkeypatch.setattr(PerfCounters, "restore", lambda self, snapshot: None)
+    path = tmp_path / "m.json"
+    with pytest.raises(ConfigError, match="counters"):
+        state.save(path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_store_miss_hit_and_corruption(tmp_path) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.errors import ConfigError
 from repro.isa.events import count_instructions
 from repro.isa.kinds import EventKind
 from repro.trace.engine import LinkMode
+from repro.trace.store import generate_bundle
 from repro.uarch import CPU
 from repro.workloads import ALL_WORKLOADS, Workload, apache, memcached
 from repro.workloads.base import LibrarySpec, RequestClass, WorkloadConfig
@@ -182,3 +185,40 @@ class TestCalibration:
         wl = Workload(memcached.config())
         total = count_instructions(wl.trace(3, include_marks=False))
         assert 3_000 < total // 3 < 30_000  # per-request instructions
+
+
+# SHA-256 of each segment's ``to_bytes()`` (startup, warm-up, measured) of
+# ``generate_bundle(Workload(profile.config()), 1, 2)``.  Any change to
+# workload construction or generation that moves a single event changes
+# these; update them only together with a stated reason for the change.
+BUNDLE_FINGERPRINTS = {
+    "apache": (
+        "3f37d84f109f2aeab93b1db86e804d2041e6a5292554ce5ab4d63fa512d2fd2c",
+        "0f6ad19a3fdb7cc262a792a343dc9e751c1d83f3b6bd8322f8992ede35bdaa05",
+        "31036ab43862d063727868547574b32d64b9e38c1c62afc10bdf7d0fc729b767",
+    ),
+    "firefox": (
+        "b61952a20ecc484503febe0949bd0525989a23e8e5f7013c008a02a6e526fe5d",
+        "bcfd250bc2cc98be80a3a2f901d6a41b4d9559c0ad99985f2f0bb2ac6be3d869",
+        "87d5631352583bcd51a466af713b8f59ae393a4d3de6139fcf4a27c4ec1f6eb0",
+    ),
+    "memcached": (
+        "087239cce7e804fe210068179139388e189235eabdcae43dc86ff5f4cf2b4727",
+        "bd9a41cfc607eefd752e67bbd3064d0d8d96b2538a9cec3807fba95a320705b1",
+        "8e293926b4919156c677616cb03988db9da29ef05b5c3a4d79f8f5dacdbe2f92",
+    ),
+    "mysql": (
+        "133bad24f867ab3a6249c59dd44499e1b508623b601332e6d5c4ca04d52c754b",
+        "a87b4487c4161c6db2820d4c2a88b4a69f7ce8bc6e1bf41a7abe891a8c2c4f1e",
+        "1611006fb6d4879d7af226b33ca191f6ef3886321ca56f9bc691070856bf8560",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
+def test_bundle_fingerprint(name):
+    """Each profile's trace bundle at a fixed size is byte-for-byte pinned."""
+    assert sorted(BUNDLE_FINGERPRINTS) == sorted(ALL_WORKLOADS)
+    bundle = generate_bundle(Workload(ALL_WORKLOADS[name].config()), 1, 2)
+    digests = tuple(hashlib.sha256(seg.to_bytes()).hexdigest() for seg in bundle.segments())
+    assert digests == BUNDLE_FINGERPRINTS[name]
