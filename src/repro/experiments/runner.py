@@ -1005,6 +1005,25 @@ def _obs_from_spec(spec: dict | None):
     return obs
 
 
+def _pair_runner(obs, machine_cache, trace_cache, backend, recorder, watchdog):
+    """The default campaign ``run_fn``: :func:`run_pair` with the
+    campaign's caches, backend, recorder and watchdog bound in.  The
+    serial loop and the sharded worker both build theirs here."""
+
+    def run_fn(w, s, n, mechanism=None, cpu=None, gate=None):
+        rec = gate.recorder(recorder) if gate is not None else recorder
+        return run_pair(
+            w, s, abtb_entries=n,
+            cpu_config=CPUConfig.from_dict(cpu) if cpu else None,
+            mechanism_config=MechanismConfig(**mechanism) if mechanism else None,
+            obs=obs, machine_cache=machine_cache,
+            trace_cache=trace_cache,
+            backend=backend, recorder=rec, watchdog=watchdog,
+        )
+
+    return run_fn
+
+
 def _campaign_worker(task: dict) -> dict:
     """Supervised-shard entry point: run one pair in a worker process.
 
@@ -1036,18 +1055,9 @@ def _campaign_worker(task: dict) -> dict:
             force_diverge_at_check=1,
         )
 
-    def run_fn(w, s, n, mechanism=None, cpu=None, gate=None):
-        rec = gate.recorder(recorder) if gate is not None else recorder
-        return run_pair(
-            w, s, abtb_entries=n,
-            cpu_config=CPUConfig.from_dict(cpu) if cpu else None,
-            mechanism_config=MechanismConfig(**mechanism) if mechanism else None,
-            obs=obs, machine_cache=cache,
-            trace_cache=traces,
-            backend=task.get("backend", "reference"),
-            recorder=rec, watchdog=watchdog,
-        )
-
+    run_fn = _pair_runner(
+        obs, cache, traces, task.get("backend", "reference"), recorder, watchdog
+    )
     outcome = _run_one_pair(
         task["key"], task["workload"], task["scale"], task["abtb"],
         task["policy"], run_fn, time.sleep, obs=obs,
@@ -1106,12 +1116,14 @@ def run_campaign(
     a partial result.  ``run_fn`` and ``sleep_fn`` exist for tests: the
     default ``run_fn`` is :func:`run_pair`.
 
-    ``jobs > 1`` shards the remaining pairs over worker processes run by
-    the :class:`~repro.resilience.supervisor.CampaignSupervisor`: per-shard
-    heartbeats, hang detection (``supervisor_policy``), kill-and-requeue
-    with backoff, quarantine of repeatedly failing shards (the campaign
-    then completes *degraded*; see :attr:`CampaignResult.degraded`), and
-    salvage of completed work from dead workers.  Every pair is simulated
+    ``jobs > 1`` shards the remaining pairs over ``jobs`` long-lived
+    worker processes run by the
+    :class:`~repro.resilience.supervisor.CampaignSupervisor`, which leases
+    them pairs one at a time: heartbeats, hang detection
+    (``supervisor_policy``), kill-and-requeue with backoff, quarantine of
+    repeatedly failing shards (the campaign then completes *degraded*;
+    see :attr:`CampaignResult.degraded`), and salvage of completed work
+    from dead workers.  Every pair is simulated
     by one worker with the same retry/timeout discipline as the serial
     path, outcomes are merged in the serial loop's deterministic order,
     and the campaign checkpoint is still written incrementally as pairs
@@ -1172,21 +1184,20 @@ def run_campaign(
             "default run_fn/sleep_fn); this one would run serially"
         )
     if run_fn is None:
-        def run_fn(w, s, n, mechanism=None, cpu=None, gate=None):
-            rec = gate.recorder(recorder) if gate is not None else recorder
-            return run_pair(
-                w, s, abtb_entries=n,
-                cpu_config=CPUConfig.from_dict(cpu) if cpu else None,
-                mechanism_config=(
-                    MechanismConfig(**mechanism) if mechanism else None
-                ),
-                obs=obs, machine_cache=machine_cache,
-                trace_cache=trace_cache,
-                backend=backend, recorder=rec, watchdog=watchdog,
-            )
+        run_fn = _pair_runner(
+            obs, machine_cache, trace_cache, backend, recorder, watchdog
+        )
     path = Path(checkpoint_path) if checkpoint_path is not None else None
     completed = _load_checkpoint(path, recorder) if path is not None else {}
     result = CampaignResult(completed=dict(completed))
+    # Every summary the checkpoint must hold: the resumed ones plus each
+    # pair the moment it lands.  The incremental saves, the final fold
+    # and the interrupt flush all write from this one dict.
+    staged = dict(completed)
+
+    def save_checkpoint() -> None:
+        if path is not None:
+            _save_checkpoint(path, staged)
 
     scale_name = getattr(scale, "name", str(scale))
     if points is not None:
@@ -1256,7 +1267,8 @@ def run_campaign(
         )
 
     def absorb(outcome: dict) -> None:
-        """Fold one pair outcome into the result + obs, serially."""
+        """Fold one pair outcome into the result + obs, serially (the
+        caller saves the checkpoint)."""
         key = outcome["key"]
         result.attempts[key] = outcome["attempts"]
         worker_cache = outcome.get("trace_cache")
@@ -1283,7 +1295,7 @@ def run_campaign(
                     attempts=outcome["attempts"],
                 )
             return
-        result.completed[key] = outcome["summary"]
+        result.completed[key] = staged[key] = outcome["summary"]
         if obs is not None and obs.metrics is not None:
             obs.metrics.counter("campaign.pairs_completed").inc()
             obs.metrics.series("campaign.speedup").append(
@@ -1299,8 +1311,6 @@ def run_campaign(
                 attempts=outcome["attempts"],
                 speedup=outcome["summary"]["speedup"],
             )
-        if path is not None:
-            _save_checkpoint(path, result.completed)
 
     def merge_worker_state(outcome: dict) -> None:
         """Fold a worker's obs/incident state into the parent session."""
@@ -1362,25 +1372,21 @@ def run_campaign(
     def execute() -> CampaignResult:
         if not sharded:
             for key, workload, abtb, mech_cfg, cpu_cfg in tasks:
-                absorb(
-                    _run_one_pair(
-                        key, workload, scale, abtb, policy, run_fn, sleep_fn,
-                        obs=obs, mechanism=mech_cfg, cpu=cpu_cfg,
-                    )
+                outcome = _run_one_pair(
+                    key, workload, scale, abtb, policy, run_fn, sleep_fn,
+                    obs=obs, mechanism=mech_cfg, cpu=cpu_cfg,
                 )
+                absorb(outcome)
+                if outcome["failed"] is None:
+                    save_checkpoint()
             return finish()
-
-        live: dict[str, dict] = {}
 
         def on_complete(key: str, outcome: dict) -> None:
             # Incremental checkpoint the moment a shard lands (completion
             # order; sorted keys keep the bytes order-independent).
             if outcome.get("failed") is None and outcome.get("summary") is not None:
-                live[key] = outcome["summary"]
-                if path is not None:
-                    staged = dict(result.completed)
-                    staged.update(live)
-                    _save_checkpoint(path, staged)
+                staged[key] = outcome["summary"]
+                save_checkpoint()
 
         supervisor = CampaignSupervisor(
             _campaign_worker,
@@ -1404,6 +1410,8 @@ def run_campaign(
                 merge_worker_state(outcome)
             elif key in report.quarantined:
                 result.quarantined[key] = dict(report.quarantined[key])
+        if staged != completed:
+            save_checkpoint()
         return finish()
 
     try:
@@ -1413,15 +1421,14 @@ def run_campaign(
         # flush what we have through the atomic checkpoint path and say
         # so in the incident log, instead of dying mid-write and leaving
         # the next resume to guess.
-        if path is not None:
-            _save_checkpoint(path, result.completed)
+        save_checkpoint()
         if recorder is not None:
             recorder.record(
                 IncidentKind.SHUTDOWN,
-                f"campaign interrupted with {len(result.completed)} pair(s) "
+                f"campaign interrupted with {len(staged)} pair(s) "
                 f"completed; checkpoint flushed, resume will skip them",
                 severity="warning",
-                completed=len(result.completed),
+                completed=len(staged),
                 checkpoint=str(path) if path is not None else None,
             )
         raise

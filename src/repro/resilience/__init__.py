@@ -2,7 +2,7 @@
 
 The paper's mechanism is trustworthy because every speculative skip falls
 back to correct baseline behaviour; this package gives the *campaign
-infrastructure* the same property.  Three pillars:
+infrastructure* the same property.  Its parts:
 
 * :mod:`repro.resilience.incidents` — a unified incident log: every
   anomaly (corrupt artifact, dead worker, backend divergence) becomes a
@@ -12,10 +12,13 @@ infrastructure* the same property.  Three pillars:
 * :mod:`repro.resilience.integrity` — content-checksummed, schema-versioned
   JSON artifacts written atomically; corrupted or truncated files are
   *detected* (and rebuilt by their owners) instead of trusted;
-* :mod:`repro.resilience.supervisor` — explicitly supervised campaign
-  worker processes: per-shard heartbeats, hang detection, kill-and-requeue
-  with exponential backoff, quarantine after repeated failures, and
-  salvage of completed work from a dead worker's spill checkpoint;
+* :mod:`repro.resilience.leases` — the lease queue that schedules shards
+  for both the supervisor and the campaign service: deadline leases,
+  requeue with exponential backoff, quarantine after repeated failures;
+* :mod:`repro.resilience.supervisor` — long-lived, explicitly supervised
+  campaign worker processes leasing shards from that queue: heartbeats,
+  hang detection, replacement of dead workers, and salvage of completed
+  work from a dead worker's spill checkpoint;
 * :mod:`repro.resilience.watchdog` — a runtime divergence watchdog that
   cross-checks the batched backend against the reference interpreter at
   sync points and falls back to the reference backend on divergence.
@@ -36,11 +39,10 @@ from repro.resilience.integrity import (
     read_artifact,
     write_artifact,
 )
+from repro.resilience.leases import ShardPhase, SupervisorPolicy
 from repro.resilience.supervisor import (
     CampaignSupervisor,
     FaultPlan,
-    ShardState,
-    SupervisorPolicy,
     SupervisorReport,
 )
 from repro.resilience.watchdog import (
@@ -58,7 +60,7 @@ __all__ = [
     "Incident",
     "IncidentKind",
     "IncidentRecorder",
-    "ShardState",
+    "ShardPhase",
     "SupervisorPolicy",
     "SupervisorReport",
     "WatchdogPolicy",

@@ -1,31 +1,30 @@
-"""Lease-based shard queue: the scheduling heart of the campaign service.
+"""Lease-based shard queue: the one shard scheduler of both campaign runtimes.
 
-Workers never own shards — they hold *leases* with deadlines:
+The campaign service's manager and the in-process
+:class:`~repro.resilience.supervisor.CampaignSupervisor` both schedule
+through :class:`LeaseQueue`, so pending, backoff, failure counting and
+quarantine follow one state machine.  Workers never own shards — they
+hold *leases* with deadlines:
 
 * :meth:`LeaseQueue.acquire` hands the oldest ready pending shard to a
   worker as a :class:`Lease` expiring ``shard_deadline_s`` from now;
-* the worker renews via heartbeat (:meth:`LeaseQueue.renew`) while it
-  simulates;
-* a lease that expires — worker crash, hang, network partition, manager
-  can't tell and doesn't need to — is swept by :meth:`LeaseQueue.expire`:
-  the shard goes back to pending with exponential backoff, and after
-  ``max_shard_failures`` process-level failures it is **quarantined**
-  (the campaign then completes *degraded* rather than never);
+  the worker renews it via heartbeat (:meth:`LeaseQueue.renew`);
+* a lease that expires — worker crash, hang, network partition — is
+  swept by :meth:`LeaseQueue.expire`, and a worker-reported failure
+  arrives through :meth:`LeaseQueue.fail`: the shard goes back to
+  pending with exponential backoff, and after ``max_shard_failures``
+  process-level failures it is **quarantined** (the campaign then
+  completes *degraded* rather than never);
 * :meth:`LeaseQueue.complete` is key-addressed and idempotent: late
   completions (after expiry, after requeue, even after quarantine) are
   banked — the content-addressed result store upstream makes duplicate
   deliveries harmless, so the queue never discards finished work.
 
-The knobs reuse :class:`~repro.resilience.supervisor.SupervisorPolicy`
-(PR 5's supervisor): ``shard_deadline_s`` is the lease TTL,
-``max_shard_failures`` the quarantine budget, ``backoff_base_s`` /
-``backoff_factor`` the requeue backoff — one policy vocabulary for both
-the in-process supervisor and the service.
-
-The queue is in-memory soft state by design: leases are *not* journaled.
-After a manager restart every non-terminal shard is simply pending again;
-the worst case is a duplicate execution, which dedupes.  Failure counts
-and terminal states are journaled by the manager, not here.
+The knobs are :class:`SupervisorPolicy`.  The queue is in-memory soft
+state: leases are *not* journaled.  After a manager restart every
+non-terminal shard is simply pending again; the worst case is a
+duplicate execution, which dedupes.  The service's manager journals
+failure counts and terminal states, not the queue.
 """
 
 from __future__ import annotations
@@ -34,8 +33,43 @@ import enum
 import time
 from dataclasses import dataclass
 
-from repro.errors import ServiceError
-from repro.resilience.supervisor import SupervisorPolicy
+from repro.errors import ServiceError, SupervisorError
+
+
+@dataclass(frozen=True)
+class SupervisorPolicy:
+    """Lease and supervision knobs (defaults sized for real campaigns;
+    tests shrink the deadline to keep hang detection fast)."""
+
+    #: A worker silent for this long loses its lease and is declared hung.
+    shard_deadline_s: float = 120.0
+    #: Interval between worker heartbeats (each renews the lease).
+    heartbeat_interval_s: float = 0.25
+    #: Process-level failures (death or hang) before a shard is
+    #: quarantined.  Worker-internal retries are separate (RetryPolicy).
+    max_shard_failures: int = 3
+    #: Exponential requeue backoff: base * factor ** (failures - 1).
+    backoff_base_s: float = 0.25
+    backoff_factor: float = 2.0
+    #: Supervisor monitor loop poll interval.
+    poll_interval_s: float = 0.05
+
+    def __post_init__(self) -> None:
+        if self.shard_deadline_s <= 0:
+            raise SupervisorError(
+                f"shard_deadline_s must be positive, got {self.shard_deadline_s}"
+            )
+        if self.heartbeat_interval_s <= 0:
+            raise SupervisorError(
+                f"heartbeat_interval_s must be positive, got {self.heartbeat_interval_s}"
+            )
+        if self.max_shard_failures < 1:
+            raise SupervisorError(
+                f"max_shard_failures must be >= 1, got {self.max_shard_failures}"
+            )
+
+    def backoff(self, failures: int) -> float:
+        return self.backoff_base_s * self.backoff_factor ** max(0, failures - 1)
 
 
 class ShardPhase(enum.Enum):

@@ -1,43 +1,39 @@
-"""Self-healing campaign supervisor: heartbeats, requeue, quarantine, salvage.
+"""Self-healing campaign supervisor: long-lived workers that lease shards.
 
 Every sharded campaign (``run_campaign(jobs > 1)``) runs its shards
-here, in explicitly managed worker processes, so a worker that dies
-does not take its shard's results with it and a worker that hangs does
-not stall the whole campaign:
+here, on ``min(jobs, shards)`` worker processes that live across shards.
+Scheduling goes through the campaign service's
+:class:`~repro.resilience.leases.LeaseQueue`, which makes every retry,
+backoff and quarantine decision; the supervisor keeps three jobs:
 
-* each shard runs in its own process which emits a **heartbeat** on a
-  shared queue every ``heartbeat_interval_s``;
-* a worker silent past ``shard_deadline_s`` is declared **hung**, killed
-  (SIGKILL) and its shard requeued;
-* a worker that **dies** (killed, OOM, segfault) is detected by process
-  reaping; before requeueing, the supervisor tries to **salvage** the
-  shard's outcome from the integrity-checked spill file the worker writes
-  just before reporting — completed work survives the messenger's death;
-* every requeue backs off exponentially; a shard failing
-  ``max_shard_failures`` times is **quarantined** and the campaign
-  completes *degraded* with a partial-result manifest instead of
-  crashing;
-* every one of those transitions is recorded on the
-  :class:`~repro.resilience.incidents.IncidentRecorder`.
+* **process management** — each idle worker is leased the next ready
+  shard; a heartbeat thread renews the lease while the shard runs; a
+  worker whose lease passes ``shard_deadline_s`` is declared hung and
+  SIGKILLed, and a dead worker is replaced while work remains;
+* **spill salvage** — a worker writes its outcome to an
+  integrity-checked spill file before reporting ``done``; before a dead
+  or hung worker's failure is counted, the shard is salvaged from that
+  file if it is there, so completed work survives the messenger's death;
+* **fault injection** — a :class:`FaultPlan` kills or wedges workers
+  deterministically *inside* the worker, so tests and the chaos CI job
+  exercise exactly the code paths a real fault would take.
 
-The supervisor is deliberately generic: it knows nothing about pairs or
-workloads, only ``(key, payload)`` shards and a picklable ``worker_fn``;
-``repro.experiments.runner.run_campaign`` supplies both.  A
-:class:`FaultPlan` lets tests and the chaos CI job inject worker kills
-and hangs deterministically *inside* the worker, so the supervisor's
-recovery machinery is exercised through exactly the code paths a real
-fault would take.
+Every transition is recorded on the
+:class:`~repro.resilience.incidents.IncidentRecorder`.  The supervisor
+knows nothing about pairs or workloads, only ``(key, payload)`` shards
+and a picklable ``worker_fn``; ``repro.experiments.runner.run_campaign``
+supplies both.
 """
 
 from __future__ import annotations
 
-import enum
+import contextlib
 import os
 import re
 import signal
+import tempfile
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,6 +42,7 @@ import multiprocessing
 from repro.errors import CheckpointCorruptionError, SupervisorError
 from repro.resilience.incidents import IncidentKind
 from repro.resilience.integrity import read_artifact, write_artifact
+from repro.resilience.leases import Lease, LeaseQueue, ShardPhase, SupervisorPolicy
 
 #: Schema stamped on worker spill files (see :mod:`repro.resilience.integrity`).
 SPILL_SCHEMA = "repro.shard-spill"
@@ -56,59 +53,14 @@ SPILL_SCHEMA_VERSION = 1
 SPILL_OUTCOME_KEYS = ("key", "attempts", "retries", "failed", "summary", "incidents")
 
 
-class ShardState(enum.Enum):
-    """Lifecycle of one supervised shard."""
-
-    PENDING = "pending"
-    RUNNING = "running"
-    COMPLETED = "completed"
-    SALVAGED = "salvaged"
-    QUARANTINED = "quarantined"
-
-
-@dataclass(frozen=True)
-class SupervisorPolicy:
-    """Supervision knobs (defaults sized for real campaigns; tests shrink
-    the deadline to keep hang detection fast)."""
-
-    #: A worker silent for this long is declared hung and killed.
-    shard_deadline_s: float = 120.0
-    #: Interval between worker heartbeats.
-    heartbeat_interval_s: float = 0.25
-    #: Process-level failures (death or hang) before a shard is
-    #: quarantined.  Worker-internal retries are separate (RetryPolicy).
-    max_shard_failures: int = 3
-    #: Exponential requeue backoff: base * factor ** (failures - 1).
-    backoff_base_s: float = 0.25
-    backoff_factor: float = 2.0
-    #: Supervisor monitor loop poll interval.
-    poll_interval_s: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.shard_deadline_s <= 0:
-            raise SupervisorError(
-                f"shard_deadline_s must be positive, got {self.shard_deadline_s}"
-            )
-        if self.heartbeat_interval_s <= 0:
-            raise SupervisorError(
-                f"heartbeat_interval_s must be positive, got {self.heartbeat_interval_s}"
-            )
-        if self.max_shard_failures < 1:
-            raise SupervisorError(
-                f"max_shard_failures must be >= 1, got {self.max_shard_failures}"
-            )
-
-    def backoff(self, failures: int) -> float:
-        return self.backoff_base_s * self.backoff_factor ** max(0, failures - 1)
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """Deterministic fault injection for supervised workers.
 
-    Matching is by substring on the shard key.  ``*_attempts`` bounds how
-    many attempts the fault fires on (1 = only the first), so a killed
-    shard succeeds on requeue and the test can assert full recovery.
+    Matching is by substring on the shard key and by the lease attempt.
+    ``*_attempts`` bounds how many attempts the fault fires on (1 = only
+    the first), so a killed shard succeeds on requeue and the test can
+    assert full recovery.
     """
 
     #: SIGKILL the worker for matching shards.
@@ -135,85 +87,93 @@ class FaultPlan:
         return bool(self.diverge_match) and self.diverge_match in key
 
 
+def _spill_path(spill_dir, key: str) -> Path:
+    return Path(spill_dir) / (re.sub(r"[^A-Za-z0-9_.=-]+", "_", key) + ".spill.json")
+
+
 # --------------------------------------------------------------- worker side
 
 
-def _heartbeat_loop(queue, key: str, interval: float, stop: threading.Event) -> None:
-    seq = 0
+def _heartbeat_loop(outbox, worker_id: str, key: str, interval: float, stop) -> None:
     while not stop.wait(interval):
-        seq += 1
         try:
-            queue.put(("hb", key, seq))
+            outbox.put(("hb", worker_id, key))
         except Exception:
             return
 
 
-def _worker_main(worker_fn, key, payload, attempt, queue, spill_path, hb_interval, fault_plan):
-    """Entry point of one supervised worker process (must be importable)."""
+def _worker_main(worker_fn, worker_id, inbox, outbox, spill_dir, hb_interval, fault_plan):
+    """Entry point of one long-lived worker process (must be importable).
+
+    Runs the ``(key, payload, attempt)`` shards it receives on ``inbox``
+    until the ``None`` sentinel arrives or the parent is gone.
+    """
+    # The parent owns shutdown: on Ctrl-C it kills busy workers and
+    # stops idle ones itself.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent_pid = os.getppid()
     fault_plan = fault_plan or FaultPlan()
-    if fault_plan.should_hang(key, attempt):
-        # Simulated wedge: never heartbeat, never finish.  The parent's
-        # deadline machinery is the only way out.
-        time.sleep(3600)
-        return
-    if fault_plan.should_kill(key, attempt) and not fault_plan.kill_after_spill:
-        os.kill(os.getpid(), signal.SIGKILL)
-    stop = threading.Event()
-    beat = threading.Thread(
-        target=_heartbeat_loop, args=(queue, key, hb_interval, stop), daemon=True
-    )
-    beat.start()
-    try:
+    while True:
+        if not inbox.poll(1.0):
+            if os.getppid() != parent_pid:
+                return
+            continue
+        task = inbox.recv()
+        if task is None:
+            return
+        key, payload, attempt = task
+        if fault_plan.should_hang(key, attempt):
+            # Simulated wedge: never heartbeat, never finish.  The lease
+            # deadline is the only way out.
+            time.sleep(3600)
+            return
+        if fault_plan.should_kill(key, attempt) and not fault_plan.kill_after_spill:
+            os.kill(os.getpid(), signal.SIGKILL)
+        stop = threading.Event()
+        beat = threading.Thread(
+            target=_heartbeat_loop, args=(outbox, worker_id, key, hb_interval, stop)
+        )
+        beat.start()
         try:
             outcome = worker_fn(payload)
         except BaseException as exc:  # worker_fn handles retries; this is a bug escape
-            queue.put(("error", key, f"{type(exc).__name__}: {exc}"))
-            return
-        if spill_path is not None:
-            spill = {
-                "key": key,
-                "attempt": attempt,
-                "outcome": {k: outcome.get(k) for k in SPILL_OUTCOME_KEYS if k in outcome},
-            }
-            write_artifact(spill_path, spill, SPILL_SCHEMA, SPILL_SCHEMA_VERSION)
+            outbox.put(("error", worker_id, key, f"{type(exc).__name__}: {exc}"))
+            continue
+        finally:
+            # Stopped before ``done`` is sent, so no heartbeat trails it.
+            stop.set()
+            beat.join()
+        kept = {k: outcome[k] for k in SPILL_OUTCOME_KEYS if k in outcome}
+        spill = {"key": key, "attempt": attempt, "outcome": kept}
+        write_artifact(_spill_path(spill_dir, key), spill, SPILL_SCHEMA, SPILL_SCHEMA_VERSION)
         if fault_plan.should_kill(key, attempt) and fault_plan.kill_after_spill:
             os.kill(os.getpid(), signal.SIGKILL)
-        queue.put(("done", key, outcome))
-    finally:
-        stop.set()
+        outbox.put(("done", worker_id, key, outcome))
 
 
 # --------------------------------------------------------------- parent side
 
 
 @dataclass
-class _Shard:
-    key: str
-    payload: object
-    state: ShardState = ShardState.PENDING
-    failures: int = 0
-    ready_at: float = 0.0
-    last_error: str = ""
-    outcome: dict | None = None
+class _Worker:
+    """Parent-side handle of one long-lived worker process."""
 
-
-@dataclass
-class _Handle:
-    shard: _Shard
+    worker_id: str
     process: multiprocessing.Process
-    attempt: int
-    last_heartbeat: float
-    spill_path: Path
-    done: bool = False
+    #: The parent's send end of the worker's task pipe.
+    inbox: object
+    lease: Lease | None = None
 
 
 @dataclass
 class SupervisorReport:
     """What the supervised campaign produced.
 
-    ``outcomes`` holds one outcome dict per completed-or-salvaged shard;
-    ``quarantined`` maps shard key to failure details for shards that
-    exhausted their budget.  ``ok`` means nothing was quarantined.
+    ``outcomes`` holds one outcome dict per completed shard (a salvaged
+    one carries ``salvaged: True``); ``quarantined`` maps shard key to
+    failure details for shards that exhausted their budget; ``states``
+    maps every shard key to its final :class:`ShardPhase`.  ``ok`` means
+    nothing was quarantined.
     """
 
     outcomes: dict = field(default_factory=dict)
@@ -225,21 +185,18 @@ class SupervisorReport:
         return not self.quarantined
 
 
-def _spill_name(key: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.=-]+", "_", key) + ".spill.json"
-
-
 class CampaignSupervisor:
     """Runs ``(key, payload)`` shards under supervision (see module doc).
 
     Args:
         worker_fn: picklable callable, ``payload -> outcome dict``.
         shards: ordered ``(key, payload)`` pairs; keys must be unique.
-        jobs: maximum concurrently running worker processes.
+        jobs: maximum number of worker processes.
         policy: deadlines / retry budget / backoff.
         recorder: optional incident recorder.
         fault_plan: optional deterministic fault injection.
-        spill_dir: directory for worker spill files (temp dir by default).
+        spill_dir: directory for worker spill files (temp dir by default),
+            removed at the end of the run once empty.
         on_complete: called as ``on_complete(key, outcome)`` the moment a
             shard completes or is salvaged — the runner checkpoints here.
     """
@@ -256,9 +213,8 @@ class CampaignSupervisor:
         on_complete=None,
     ) -> None:
         self.worker_fn = worker_fn
-        self.shards = [_Shard(key=k, payload=p) for k, p in shards]
-        keys = [s.key for s in self.shards]
-        if len(set(keys)) != len(keys):
+        self.keys = [key for key, _payload in shards]
+        if len(set(self.keys)) != len(self.keys):
             raise SupervisorError("shard keys must be unique")
         if jobs < 1:
             raise SupervisorError(f"jobs must be >= 1, got {jobs}")
@@ -266,267 +222,250 @@ class CampaignSupervisor:
         self.policy = policy or SupervisorPolicy()
         self.recorder = recorder
         self.fault_plan = fault_plan
-        self.spill_dir = Path(spill_dir) if spill_dir is not None else None
+        self.spill_dir = Path(spill_dir or tempfile.mkdtemp(prefix="repro-spill-"))
         self.on_complete = on_complete
+        self.leases = LeaseQueue(self.policy)
+        for key, payload in shards:
+            self.leases.add(key, payload)
+        self.report = SupervisorReport()
+        self._workers: dict[str, _Worker] = {}
+        self._spawned = 0
+        self._outbox = None
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
     # ------------------------------------------------------------ lifecycle
 
     def run(self) -> SupervisorReport:
-        if self.spill_dir is None:
-            import tempfile
-
-            self._tmp = tempfile.TemporaryDirectory(prefix="repro-spill-")
-            self.spill_dir = Path(self._tmp.name)
         self.spill_dir.mkdir(parents=True, exist_ok=True)
-
-        queue = self._ctx.Queue()
-        pending: deque[_Shard] = deque(self.shards)
-        running: dict[str, _Handle] = {}
-        report = SupervisorReport()
-
+        self._outbox = self._ctx.Queue()
         try:
-            while pending or running:
-                now = time.monotonic()
-                self._launch_ready(pending, running, queue, now)
-                self._drain_queue(
-                    queue, running, pending, report, self.policy.poll_interval_s
-                )
-                self._check_deadlines(running, pending, report)
-                self._reap_dead(queue, running, pending, report)
-                if pending and not running:
-                    # Everything eligible is in backoff; sleep until the
-                    # soonest shard becomes ready.
-                    wake = min(s.ready_at for s in pending)
-                    delay = max(0.0, wake - time.monotonic())
-                    time.sleep(min(delay, self.policy.poll_interval_s * 4) or 0.001)
+            while self.leases.has_work():
+                self._staff()
+                self._drain(self._wait())
+                self._check_deadlines()
+                self._reap_dead()
         finally:
-            for handle in running.values():
-                self._kill(handle)
-            queue.close()
-            queue.join_thread()
+            self._shutdown()
+            self._outbox.close()
+            self._outbox.join_thread()
+            with contextlib.suppress(OSError):
+                self.spill_dir.rmdir()  # only once empty: unread spills stay
 
-        for shard in self.shards:
-            report.states[shard.key] = shard.state
-        return report
+        for key in self.keys:
+            phase = self.leases.phase(key)
+            self.report.states[key] = phase
+            if phase is ShardPhase.QUARANTINED:
+                self.report.quarantined[key] = {
+                    "failures": self.leases.failures(key),
+                    "last_error": self.leases.last_error(key),
+                }
+        return self.report
 
     # ------------------------------------------------------------ internals
 
-    def _launch_ready(self, pending, running, queue, now) -> None:
-        rotated = 0
-        while pending and len(running) < self.jobs and rotated < len(pending):
-            shard = pending[0]
-            if shard.ready_at > now:
-                pending.rotate(-1)
-                rotated += 1
-                continue
-            pending.popleft()
-            rotated = 0
-            attempt = shard.failures + 1
-            spill_path = self.spill_dir / _spill_name(shard.key)
-            process = self._ctx.Process(
-                target=_worker_main,
-                args=(
-                    self.worker_fn,
-                    shard.key,
-                    shard.payload,
-                    attempt,
-                    queue,
-                    str(spill_path),
-                    self.policy.heartbeat_interval_s,
-                    self.fault_plan,
-                ),
-                daemon=True,
-            )
-            process.start()
-            shard.state = ShardState.RUNNING
-            running[shard.key] = _Handle(
-                shard=shard,
-                process=process,
-                attempt=attempt,
-                last_heartbeat=time.monotonic(),
-                spill_path=spill_path,
-            )
+    def _staff(self) -> None:
+        """Start workers up to ``min(jobs, unfinished shards)``, then hand
+        each idle worker the next ready shard."""
+        counts = self.leases.counts()
+        wanted = min(self.jobs, counts["pending"] + counts["leased"])
+        while len(self._workers) < wanted:
+            self._spawn()
+        for worker in self._workers.values():
+            if worker.lease is None and not self._assign(worker):
+                return
 
-    def _drain_queue(self, queue, running, pending, report, wait: float) -> None:
+    def _spawn(self) -> None:
+        self._spawned += 1
+        worker_id = f"w{self._spawned}"
+        receive, send = self._ctx.Pipe(duplex=False)
+        args = (self.worker_fn, worker_id, receive, self._outbox, str(self.spill_dir),
+                self.policy.heartbeat_interval_s, self.fault_plan)
+        process = self._ctx.Process(target=_worker_main, args=args, daemon=True)
+        process.start()
+        receive.close()
+        self._workers[worker_id] = _Worker(worker_id, process, send)
+
+    def _assign(self, worker: _Worker) -> bool:
+        """Lease the next ready shard to ``worker``; False when none is."""
+        granted = self.leases.acquire(worker.worker_id)
+        if granted is None:
+            return False
+        worker.lease, payload = granted
+        with contextlib.suppress(OSError):  # a worker that just died is reaped
+            worker.inbox.send((worker.lease.key, payload, worker.lease.attempt))
+        return True
+
+    def _wait(self) -> float:
+        """How long the drain may block: one poll interval while a shard
+        runs, else until the soonest backed-off shard is ready."""
+        wait, ready_at = self.policy.poll_interval_s, self.leases.next_ready_at()
+        if ready_at is None or any(w.lease for w in self._workers.values()):
+            return wait
+        return min(max(0.0, ready_at - time.monotonic()), wait * 4)
+
+    def _drain(self, wait: float) -> None:
         """Handle worker messages: wait up to ``wait`` seconds for the
         first one, then take only what is already queued.
 
-        Returning once the queue is empty, rather than at the end of the
-        wait, lets the caller launch the next pending shard into a slot
-        freed by a ``done`` or ``error`` message at once.
+        A live worker that reports ``done`` or ``error`` gets its next
+        shard on the spot, so it never sits out the rest of the wait.
         """
         timeout = wait
         while True:
             try:
-                message = queue.get(timeout=timeout)
+                tag, worker_id, key, *body = self._outbox.get(timeout=timeout)
             except Exception:  # Empty (and spurious queue teardown races)
                 return
             timeout = 0.0
-            tag, key = message[0], message[1]
-            handle = running.get(key)
-            if handle is None:
-                continue
+            worker = self._workers.get(worker_id)
+            if worker is None or worker.lease is None or worker.lease.key != key:
+                continue  # a killed worker's leftovers
             if tag == "hb":
-                handle.last_heartbeat = time.monotonic()
-            elif tag == "done":
-                handle.last_heartbeat = time.monotonic()
-                handle.done = True
-                self._complete(handle, message[2], running, report, salvaged=False)
-            elif tag == "error":
-                handle.last_heartbeat = time.monotonic()
-                handle.done = True
-                handle.shard.last_error = str(message[2])
-                handle.process.join(timeout=5.0)
-                del running[key]
-                self._fail(
-                    handle.shard,
-                    pending,
-                    report,
-                    IncidentKind.WORKER_DEATH,
-                    f"worker for shard {key} raised: {message[2]}",
+                renewed = self.leases.renew(worker.lease.lease_id, worker_id)
+                worker.lease = renewed or worker.lease
+                continue
+            worker.lease = None
+            if tag == "done":
+                self._complete(key, body[0])
+            else:
+                message = f"worker for shard {key} raised: {body[0]}"
+                self._record_failure(
+                    key, self.leases.fail(key, message), IncidentKind.WORKER_DEATH, message
                 )
+            if worker.process.is_alive():
+                self._assign(worker)
 
-    def _check_deadlines(self, running, pending, report) -> None:
+    def _check_deadlines(self) -> None:
+        """Kill every worker whose lease is past its deadline.  Its shard
+        is salvaged from the spill when it can be; otherwise the queue
+        counts the failure as the lease expires."""
         now = time.monotonic()
-        for key in list(running):
-            handle = running[key]
-            if handle.done:
+        pids = {}
+        for worker in list(self._workers.values()):
+            lease = worker.lease
+            if lease is None or lease.expires_at > now:
                 continue
-            silent = now - handle.last_heartbeat
-            if silent <= self.policy.shard_deadline_s:
-                continue
-            self._kill(handle)
-            del running[key]
-            if not self._try_salvage(handle, running, report):
-                self._fail(
-                    handle.shard,
-                    pending,
-                    report,
-                    IncidentKind.WORKER_HANG,
-                    f"worker for shard {key} silent for {silent:.1f}s "
-                    f"(deadline {self.policy.shard_deadline_s:.1f}s); killed",
-                    pid=handle.process.pid,
-                )
-
-    def _reap_dead(self, queue, running, pending, report) -> None:
-        dead = [
-            handle for handle in running.values()
-            if not handle.done and not handle.process.is_alive()
-        ]
-        if dead:
-            # An exited worker has flushed its last message into the queue:
-            # take it first, so a clean finish is not mistaken for a death.
-            self._drain_queue(queue, running, pending, report, 0.0)
-        for handle in dead:
-            if handle.done:
-                continue
-            key = handle.shard.key
-            handle.process.join(timeout=5.0)
-            del running[key]
-            if self._try_salvage(handle, running, report):
-                continue
-            self._fail(
-                handle.shard,
-                pending,
-                report,
-                IncidentKind.WORKER_DEATH,
-                f"worker for shard {key} died with exit code "
-                f"{handle.process.exitcode} before delivering its outcome",
-                pid=handle.process.pid,
-                exitcode=handle.process.exitcode,
+            pids[lease.lease_id] = worker.process.pid
+            self._kill(worker)
+            self._salvage(lease)
+        for expired in self.leases.expire():
+            worker = self._workers.get(expired.worker_id)
+            if worker is not None:  # expired between the check and the sweep
+                pids[expired.lease_id] = worker.process.pid
+                self._kill(worker)
+            self._record_failure(
+                expired.key,
+                (expired.quarantined, expired.backoff_s),
+                IncidentKind.WORKER_HANG,
+                f"worker for shard {expired.key} silent past its "
+                f"{self.policy.shard_deadline_s:.1f}s lease deadline; killed",
+                pid=pids.get(expired.lease_id),
             )
 
-    def _try_salvage(self, handle, running, report) -> bool:
-        """Recover a dead worker's outcome from its spill file, if intact."""
+    def _reap_dead(self) -> None:
+        dead = [w for w in self._workers.values() if not w.process.is_alive()]
+        if not dead:
+            return
+        # An exited worker has flushed its last message into the outbox:
+        # take it first, so a clean finish is not mistaken for a death.
+        self._drain(0.0)
+        for worker in dead:
+            lease = worker.lease
+            self._kill(worker)
+            if lease is None or self._salvage(lease):
+                continue
+            exitcode = worker.process.exitcode
+            message = (
+                f"worker for shard {lease.key} died with exit code {exitcode} "
+                f"before delivering its outcome"
+            )
+            self._record_failure(
+                lease.key,
+                self.leases.fail(lease.key, message),
+                IncidentKind.WORKER_DEATH,
+                message,
+                pid=worker.process.pid,
+                exitcode=exitcode,
+            )
+
+    def _salvage(self, lease: Lease) -> bool:
+        """Complete a dead worker's shard from its spill file, if intact."""
         try:
-            spill = read_artifact(handle.spill_path, SPILL_SCHEMA, SPILL_SCHEMA_VERSION)
+            spill = read_artifact(
+                _spill_path(self.spill_dir, lease.key), SPILL_SCHEMA, SPILL_SCHEMA_VERSION
+            )
         except CheckpointCorruptionError:
             return False
-        if spill.get("key") != handle.shard.key:
-            return False
         outcome = dict(spill.get("outcome") or {})
-        if outcome.get("summary") is None or outcome.get("failed"):
+        finished = outcome.get("summary") is not None and not outcome.get("failed")
+        if spill.get("key") != lease.key or not finished:
             return False
-        outcome.setdefault("key", handle.shard.key)
+        outcome.setdefault("key", lease.key)
         outcome["salvaged"] = True
         if self.recorder is not None:
             self.recorder.record(
                 IncidentKind.SHARD_SALVAGED,
-                f"worker for shard {handle.shard.key} died after finishing; "
+                f"worker for shard {lease.key} died after finishing; "
                 f"outcome salvaged from its spill checkpoint",
                 severity="warning",
-                key=handle.shard.key,
-                attempt=handle.attempt,
+                key=lease.key,
+                attempt=lease.attempt,
             )
-        self._complete(handle, outcome, running, report, salvaged=True)
+        self._complete(lease.key, outcome)
         return True
 
-    def _complete(self, handle, outcome, running, report, salvaged: bool) -> None:
-        shard = handle.shard
-        shard.state = ShardState.SALVAGED if salvaged else ShardState.COMPLETED
-        shard.outcome = outcome
-        report.outcomes[shard.key] = outcome
-        if not salvaged:
-            handle.process.join(timeout=5.0)
-            running.pop(shard.key, None)
-        try:
-            handle.spill_path.unlink()
-        except OSError:
-            pass
+    def _complete(self, key: str, outcome: dict) -> None:
+        self.leases.complete(key)
+        self.report.outcomes[key] = outcome
+        _spill_path(self.spill_dir, key).unlink(missing_ok=True)
         if self.on_complete is not None:
-            self.on_complete(shard.key, outcome)
+            self.on_complete(key, outcome)
 
-    def _fail(self, shard, pending, report, kind, message, **context) -> None:
-        shard.failures += 1
-        shard.last_error = message
-        if self.recorder is not None:
-            self.recorder.record(
-                kind,
-                message,
-                key=shard.key,
-                attempt=shard.failures,
-                **context,
-            )
-        if shard.failures >= self.policy.max_shard_failures:
-            shard.state = ShardState.QUARANTINED
-            report.quarantined[shard.key] = {
-                "failures": shard.failures,
-                "last_error": shard.last_error,
-            }
-            if self.recorder is not None:
-                self.recorder.record(
-                    IncidentKind.SHARD_QUARANTINED,
-                    f"shard {shard.key} quarantined after {shard.failures} "
-                    f"process-level failures; campaign will complete degraded",
-                    key=shard.key,
-                    failures=shard.failures,
-                )
+    def _record_failure(self, key, verdict, kind, message, **context) -> None:
+        """Record a process-level failure the queue has just counted, and
+        the requeue or quarantine it decided (``verdict``)."""
+        if self.recorder is None:
             return
-        backoff = self.policy.backoff(shard.failures)
-        shard.state = ShardState.PENDING
-        shard.ready_at = time.monotonic() + backoff
-        pending.append(shard)
-        if self.recorder is not None:
+        quarantined, backoff = verdict
+        failures = self.leases.failures(key)
+        self.recorder.record(kind, message, key=key, attempt=failures, **context)
+        if quarantined:
+            self.recorder.record(
+                IncidentKind.SHARD_QUARANTINED,
+                f"shard {key} quarantined after {failures} process-level "
+                f"failures; campaign will complete degraded",
+                key=key,
+                failures=failures,
+            )
+        else:
             self.recorder.record(
                 IncidentKind.SHARD_REQUEUED,
-                f"shard {shard.key} requeued (failure {shard.failures}/"
+                f"shard {key} requeued (failure {failures}/"
                 f"{self.policy.max_shard_failures}, backoff {backoff:.2f}s)",
                 severity="warning",
-                key=shard.key,
-                failures=shard.failures,
+                key=key,
+                failures=failures,
                 backoff_s=backoff,
             )
 
-    def _kill(self, handle) -> None:
-        process = handle.process
-        if process.is_alive():
-            try:
-                process.kill()
-            except (OSError, ValueError, AttributeError):
-                try:
-                    os.kill(process.pid, signal.SIGKILL)
-                except OSError:
-                    pass
-        process.join(timeout=5.0)
+    def _kill(self, worker: _Worker) -> None:
+        """SIGKILL one worker (if still running) and forget it."""
+        self._workers.pop(worker.worker_id, None)
+        if worker.process.is_alive():
+            worker.process.kill()
+        worker.process.join(timeout=5.0)
+        worker.inbox.close()
+
+    def _shutdown(self) -> None:
+        """Stop every worker: idle ones take the sentinel and exit; busy
+        ones (an interrupted run) are killed."""
+        workers = list(self._workers.values())
+        for worker in workers:
+            if worker.lease is None:
+                with contextlib.suppress(OSError):
+                    worker.inbox.send(None)
+        for worker in workers:
+            if worker.lease is None:
+                worker.process.join(timeout=5.0)
+            self._kill(worker)

@@ -8,10 +8,11 @@ single shard:
 * :mod:`repro.service.schemas` — dataclass request/response schemas with
   strict validation (the JSON contract of the REST API), including the
   fencing ``epoch`` stamp and the heartbeat ``reclaim`` envelope;
-* :mod:`repro.service.queue` — the lease-based shard queue: workers pull
-  shard leases with deadlines, renew via heartbeat, and expired leases
-  are requeued with exponential backoff and quarantined after N failures
-  (knobs reuse :class:`~repro.resilience.supervisor.SupervisorPolicy`);
+* :class:`~repro.resilience.leases.LeaseQueue` (re-exported here) — the
+  lease-based shard queue: workers pull shard leases with deadlines,
+  renew via heartbeat, and expired leases are requeued with exponential
+  backoff and quarantined after N failures; the in-process campaign
+  supervisor schedules through the same queue;
 * :mod:`repro.service.store` — the durable, content-addressed result
   store keyed by config hash: shard execution is idempotent, so
   at-least-once delivery dedupes instead of corrupting aggregates;
@@ -42,6 +43,7 @@ See ``docs/SERVICE.md`` for the API, the lease lifecycle, the recovery
 guarantees and the HA/failover runbook.
 """
 
+from repro.resilience.leases import Lease, LeaseQueue, ShardPhase
 from repro.service.drill import DrillReport, DrillSpec, run_drill
 from repro.service.gc import (
     GcReport,
@@ -56,7 +58,6 @@ from repro.service.journal import (
     store_epoch,
 )
 from repro.service.manager import CampaignManager
-from repro.service.queue import Lease, LeaseQueue, ShardPhase
 from repro.service.schemas import (
     CampaignSpec,
     CompleteRequest,

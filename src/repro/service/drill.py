@@ -54,7 +54,7 @@ from repro.resilience.incidents import (
     load_incident_log,
     validate_incident_log,
 )
-from repro.resilience.supervisor import SupervisorPolicy
+from repro.resilience.leases import SupervisorPolicy
 from repro.service.api import ManagerServer
 from repro.service.manager import CampaignManager
 from repro.service.standby import StandbyManager

@@ -34,8 +34,7 @@ from repro.experiments.runner import CampaignResult, pair_key
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.incidents import IncidentKind, IncidentRecorder
-from repro.resilience.supervisor import SupervisorPolicy
-from repro.service.queue import LeaseQueue, ShardPhase
+from repro.resilience.leases import LeaseQueue, ShardPhase, SupervisorPolicy
 from repro.service.journal import Journal, load_epoch, store_epoch
 from repro.service.schemas import CampaignSpec, CompleteRequest
 from repro.service.store import ResultStore, shard_result_key

@@ -45,7 +45,7 @@ from pathlib import Path
 
 from repro.errors import ServiceError
 from repro.resilience.incidents import IncidentKind, IncidentRecorder
-from repro.resilience.supervisor import SupervisorPolicy
+from repro.resilience.leases import SupervisorPolicy
 from repro.service.journal import Journal, load_epoch, store_epoch
 from repro.service.manager import CampaignManager
 from repro.service.store import ResultStore

@@ -15,6 +15,7 @@ unperturbed serial reference run.
 from __future__ import annotations
 
 import json
+import os
 import queue as queue_mod
 import time
 from collections import deque
@@ -45,7 +46,7 @@ from repro.resilience import (
     FaultPlan,
     IncidentKind,
     IncidentRecorder,
-    ShardState,
+    ShardPhase,
     SupervisorPolicy,
     WatchdogPolicy,
     payload_checksum,
@@ -54,7 +55,7 @@ from repro.resilience import (
     write_artifact,
 )
 from repro.resilience.incidents import load_incident_log
-from repro.resilience.supervisor import SupervisorReport, _Handle
+from repro.resilience.supervisor import _Worker
 from repro.trace.batch import TRACE_HEADER_SIZE, TraceBatch
 from repro.uarch import CPU
 from repro.uarch.machine import (
@@ -90,6 +91,11 @@ def _echo_worker(payload):
         "summary": {"value": payload["value"] * 2},
         "incidents": [],
     }
+
+
+def _pid_worker(payload):
+    """Echo worker whose summary names the process that ran the shard."""
+    return {**_echo_worker(payload), "summary": {"pid": os.getpid()}}
 
 
 def _raising_worker(payload):
@@ -396,6 +402,19 @@ class _StubQueue:
         raise queue_mod.Empty
 
 
+class _StubInbox:
+    """A worker's task pipe stand-in: records what the parent sends."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, task):
+        self.sent.append(task)
+
+    def close(self):
+        pass
+
+
 class _StubProcess:
     pid, exitcode = 4242, 0
 
@@ -405,19 +424,23 @@ class _StubProcess:
     def is_alive(self) -> bool:
         return self.alive
 
+    def kill(self) -> None:
+        self.alive = False
+
     def join(self, timeout=None) -> None:
         pass
 
 
-def _stub_supervisor(tmp_path, alive: bool):
-    """A one-shard supervisor (2 s poll) and a running handle for it."""
+def _stub_supervisor(tmp_path, alive: bool, messages):
+    """A two-shard supervisor (2 s poll) whose one worker holds shard s0,
+    and whose outbox holds ``messages``."""
     policy = SupervisorPolicy(poll_interval_s=2.0, backoff_base_s=0.0)
-    sup = CampaignSupervisor(_echo_worker, _shards(1), policy=policy)
-    handle = _Handle(
-        shard=sup.shards[0], process=_StubProcess(alive), attempt=1,
-        last_heartbeat=time.monotonic(), spill_path=tmp_path / "s0.spill.json",
-    )
-    return sup, handle
+    sup = CampaignSupervisor(_echo_worker, _shards(2), policy=policy, spill_dir=tmp_path)
+    worker = _Worker("w1", _StubProcess(alive), _StubInbox())
+    sup._workers["w1"] = worker
+    assert sup._assign(worker) and worker.lease.key == "s0"
+    sup._outbox = _StubQueue(messages)
+    return sup, worker
 
 
 class TestSupervisor:
@@ -429,7 +452,38 @@ class TestSupervisor:
         assert report.ok and not report.quarantined
         assert sorted(report.outcomes) == ["s0", "s1", "s2"]
         assert report.outcomes["s1"]["summary"] == {"value": 2}
-        assert all(state is ShardState.COMPLETED for state in report.states.values())
+        assert all(state is ShardPhase.COMPLETED for state in report.states.values())
+        assert not any(o.get("salvaged") for o in report.outcomes.values())
+
+    def test_workers_are_reused_across_shards(self, tmp_path):
+        """jobs=2 keeps two long-lived workers: six shards, at most two pids."""
+        sup = CampaignSupervisor(
+            _pid_worker, _shards(6), jobs=2, policy=FAST, spill_dir=tmp_path
+        )
+        report = sup.run()
+        assert report.ok and sorted(report.outcomes) == [f"s{i}" for i in range(6)]
+        pids = {outcome["summary"]["pid"] for outcome in report.outcomes.values()}
+        assert len(pids) <= 2 and os.getpid() not in pids
+
+    def test_killed_worker_is_replaced(self, tmp_path):
+        """A worker SIGKILLed mid-campaign is replaced, and the replacement
+        finishes the campaign, killed shard included."""
+        recorder = IncidentRecorder()
+        sup = CampaignSupervisor(
+            _pid_worker,
+            _shards(3),
+            jobs=1,
+            policy=FAST,
+            recorder=recorder,
+            fault_plan=FaultPlan(kill_match="s0", kill_attempts=1),
+            spill_dir=tmp_path,
+        )
+        report = sup.run()
+        assert report.ok and sorted(report.outcomes) == ["s0", "s1", "s2"]
+        (death,) = [i for i in recorder.as_dicts() if i["kind"] == "worker_death"]
+        pids = {outcome["summary"]["pid"] for outcome in report.outcomes.values()}
+        assert len(pids) == 1 and death["context"]["pid"] not in pids
+        assert sup.leases.failures("s0") == 1
 
     def test_sigkill_requeues_and_completes(self, tmp_path):
         recorder = IncidentRecorder()
@@ -464,7 +518,8 @@ class TestSupervisor:
         assert report.ok
         assert report.outcomes["s0"]["salvaged"] is True
         assert report.outcomes["s0"]["summary"] == {"value": 0}
-        assert report.states["s0"] is ShardState.SALVAGED
+        assert report.states["s0"] is ShardPhase.COMPLETED
+        assert sup.leases.failures("s0") == 0
         assert recorder.counts()["shard_salvaged"] == 1
 
     def test_hang_quarantines_after_budget(self, tmp_path):
@@ -490,7 +545,8 @@ class TestSupervisor:
         # present, the wedged one is quarantined with its failure history.
         assert not report.ok
         assert "s0" in report.quarantined and "s1" in report.outcomes
-        assert report.states["s0"] is ShardState.QUARANTINED
+        assert report.states["s0"] is ShardPhase.QUARANTINED
+        assert report.quarantined["s0"]["failures"] == 2
         counts = recorder.counts()
         assert counts["worker_hang"] == 2 and counts["shard_quarantined"] == 1
 
@@ -511,31 +567,42 @@ class TestSupervisor:
 
     @pytest.mark.parametrize("tag", ["done", "error"])
     def test_drain_returns_on_first_finished_shard(self, tmp_path, tag):
-        """A finished shard frees its slot at once: the drain must not sit
-        out the rest of the poll interval before the next launch."""
-        sup, handle = _stub_supervisor(tmp_path, alive=True)
+        """A finished shard's worker gets the next shard at once: the drain
+        must not sit out the rest of the poll interval first."""
         payload = {"key": "s0", "summary": {"value": 0}} if tag == "done" else "boom"
-        queue = _StubQueue([("hb", "s0", 1), (tag, "s0", payload)])
-        running, pending, report = {"s0": handle}, deque(), SupervisorReport()
+        sup, worker = _stub_supervisor(
+            tmp_path, alive=True, messages=[("hb", "w1", "s0"), (tag, "w1", "s0", payload)]
+        )
         started = time.monotonic()
-        sup._drain_queue(queue, running, pending, report, sup.policy.poll_interval_s)
+        sup._drain(sup.policy.poll_interval_s)
         assert time.monotonic() - started < 1.0
-        assert not running and not queue.messages
+        assert not sup._outbox.messages
+        # The worker already holds its next lease, and was sent that shard.
+        lease = worker.lease
+        assert lease is not None and len(worker.inbox.sent) == 2
+        shard = {"key": lease.key, "value": int(lease.key[1:])}
+        assert worker.inbox.sent[-1] == (lease.key, shard, lease.attempt)
         if tag == "done":
-            assert report.outcomes["s0"]["summary"] == {"value": 0}
+            assert sup.report.outcomes["s0"]["summary"] == {"value": 0}
+            assert sup.leases.phase("s0") is ShardPhase.COMPLETED and lease.key == "s1"
         else:
-            assert list(pending) == [handle.shard] and "boom" in handle.shard.last_error
+            assert sup.leases.failures("s0") == 1
+            assert "boom" in sup.leases.last_error("s0")
 
     def test_reap_takes_exited_workers_last_message(self, tmp_path):
         """A worker that exits right after reporting ``done`` completed; it
         must not be salvaged or requeued as a death."""
-        sup, handle = _stub_supervisor(tmp_path, alive=False)
-        queue = _StubQueue([("done", "s0", {"key": "s0", "summary": {"value": 0}})])
-        running, pending, report = {"s0": handle}, deque(), SupervisorReport()
-        sup._reap_dead(queue, running, pending, report)
-        assert handle.shard.state is ShardState.COMPLETED
-        assert report.outcomes["s0"]["summary"] == {"value": 0}
-        assert not running and not pending
+        outcome = {"key": "s0", "summary": {"value": 0}}
+        sup, worker = _stub_supervisor(
+            tmp_path, alive=False, messages=[("done", "w1", "s0", outcome)]
+        )
+        sup._reap_dead()
+        assert sup.leases.phase("s0") is ShardPhase.COMPLETED
+        assert sup.report.outcomes["s0"] == outcome and "salvaged" not in outcome
+        assert sup.leases.failures("s0") == 0
+        # The exited worker is forgotten, and was never handed s1.
+        assert not sup._workers and len(worker.inbox.sent) == 1
+        assert sup.leases.phase("s1") is ShardPhase.PENDING
 
     def test_duplicate_keys_rejected(self):
         from repro.errors import SupervisorError

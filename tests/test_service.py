@@ -643,27 +643,55 @@ class TestApi:
 
 
 class TestShutdownHardening:
-    def test_run_campaign_interrupt_flushes_checkpoint(self, tmp_path):
+    @pytest.mark.parametrize("sharded", [False, True], ids=["serial", "sharded"])
+    def test_run_campaign_interrupt_flushes_checkpoint(
+        self, tmp_path, monkeypatch, sharded
+    ):
+        """Ctrl-C mid-campaign flushes every pair that already landed, so
+        resume skips it — in the serial loop and in a sharded run."""
         checkpoint = tmp_path / "campaign.json"
         recorder = IncidentRecorder()
-        calls = []
+        if sharded:
+            import repro.experiments.runner as runner
 
-        def run_fn(workload, scale, abtb):
-            calls.append(abtb)
-            if len(calls) == 2:
-                raise KeyboardInterrupt
-            from repro.experiments.runner import run_pair
+            class InterruptAfterFirst(runner.CampaignSupervisor):
+                def __init__(self, *args, on_complete, **kwargs):
+                    def landed(key, outcome):
+                        on_complete(key, outcome)
+                        raise KeyboardInterrupt
 
-            return run_pair(workload, scale, abtb)
+                    super().__init__(*args, on_complete=landed, **kwargs)
+
+            monkeypatch.setattr(runner, "CampaignSupervisor", InterruptAfterFirst)
+            options = {"jobs": 2}
+        else:
+            calls = []
+
+            def run_fn(workload, scale, abtb):
+                calls.append(abtb)
+                if len(calls) == 2:
+                    raise KeyboardInterrupt
+                from repro.experiments.runner import run_pair
+
+                return run_pair(workload, scale, abtb)
+
+            options = {"run_fn": run_fn}
 
         with pytest.raises(KeyboardInterrupt):
             run_campaign(
                 ["apache"], SMOKE, abtb_sizes=(16, 64, 256),
-                checkpoint_path=checkpoint, run_fn=run_fn, recorder=recorder,
+                checkpoint_path=checkpoint, recorder=recorder, **options,
             )
         assert recorder.counts().get("shutdown") == 1
         resumed = _load_checkpoint(checkpoint, recorder)
-        assert set(resumed) == {"apache::abtb=16::scale=smoke"}
+        if sharded:
+            # Whichever shard landed first is the one the checkpoint keeps.
+            assert len(resumed) == 1
+            assert set(resumed) < {
+                f"apache::abtb={n}::scale=smoke" for n in (16, 64, 256)
+            }
+        else:
+            assert set(resumed) == {"apache::abtb=16::scale=smoke"}
 
     def test_load_checkpoint_missing_is_silent(self, tmp_path):
         recorder = IncidentRecorder()

@@ -354,6 +354,8 @@ def test_sharded_campaign_resumes_from_checkpoint(tmp_path) -> None:
     assert again.resumed == 1  # the abtb=16 pair came from the checkpoint
     assert first.completed["firefox::abtb=16::scale=tiny"] == \
         again.completed["firefox::abtb=16::scale=tiny"]
+    # Every spill was consumed, so the empty spill directory is gone too.
+    assert not (tmp_path / "ck.json.spill").exists()
 
 
 def test_campaign_custom_run_fn_stays_serial(tmp_path) -> None:
