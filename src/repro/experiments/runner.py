@@ -29,7 +29,12 @@ from repro.core.mechanism import TrampolineSkipMechanism
 from repro.errors import CheckpointCorruptionError, ConfigError, ExperimentError
 from repro.resilience.incidents import IncidentKind, IncidentRecorder
 from repro.resilience.integrity import read_artifact, write_artifact
-from repro.resilience.supervisor import CampaignSupervisor, FaultPlan, SupervisorPolicy
+from repro.resilience.supervisor import (
+    ARTIFACT_KEY_PREFIX,
+    CampaignSupervisor,
+    FaultPlan,
+    SupervisorPolicy,
+)
 from repro.resilience.watchdog import DivergenceWatchdog, WatchdogPolicy
 from repro.trace.engine import LinkMode, TraceCursor
 from repro.trace.store import TraceStore, apply_stats, generate_bundle, trace_key
@@ -1030,8 +1035,11 @@ def _campaign_worker(task: dict) -> dict:
     Rebuilds the per-worker obs session and machine cache from picklable
     specs, runs the pair through :func:`_run_one_pair`, and ships the
     outcome back together with the worker's metric state, trace events
-    and incident records for the parent to merge.
+    and incident records for the parent to merge.  An artifact shard's
+    task goes to :func:`_artifact_worker` instead.
     """
+    if task.get("artifact"):
+        return _artifact_worker(task)
     obs = _obs_from_spec(task["obs_spec"])
     recorder = IncidentRecorder(
         metrics=obs.metrics if obs is not None else None,
@@ -1106,7 +1114,7 @@ def run_campaign(
     checkpoint key and optional mechanism/CPU config dicts — the
     substrate the sweep engine (:mod:`repro.sweep`) builds on.  All the
     machinery below (retry, checkpointing, sharding, supervision,
-    cache prefill) applies to points exactly as it does to grid pairs;
+    artifact shards) applies to points exactly as it does to grid pairs;
     ``workloads``/``abtb_sizes`` must be empty when points are given.
 
     Transient failures (:class:`ExperimentError`, including timeouts) are
@@ -1140,7 +1148,15 @@ def run_campaign(
     first-fill benign.  ``trace_cache_dir`` holds the content-addressed
     trace store: with ``backend="batched"`` every shard serialises each
     workload's trace once and thereafter loads the stored batches
-    instead of regenerating them (see :func:`run_workload`).  ``backend``
+    instead of regenerating them (see :func:`run_workload`).  A sharded
+    batched campaign with a trace store (and no ``obs`` or ``watchdog``)
+    stores these shared inputs through *artifact shards*: one per
+    (workload, CPU geometry), leased to the same workers ahead of the
+    pairs, generating the workload's bundle once and warming each base
+    machine once (see :func:`_artifact_worker`).  A pair is leased only
+    after its artifact shard has finished; artifact shards never reach
+    the checkpoint, ``attempts``, the manifest's pairs or the ``bus``,
+    but their store counts and incidents are merged.  ``backend``
     selects the simulation engine for every pair, serial or sharded
     (custom ``run_fn`` callables ignore it).
 
@@ -1235,49 +1251,63 @@ def run_campaign(
         else:
             tasks.append((key, workload, abtb, mech_cfg, cpu_cfg))
 
+    # Artifact shards, queued ahead of the pairs: without them every
+    # concurrently started cold pair of one workload would regenerate the
+    # identical bundle and re-simulate the identical warm-up.  A
+    # workload's other geometries wait on its first, which stores the
+    # bundle; each pair waits on the shard of its own geometry.
+    artifacts: list[tuple[str, dict, tuple[str, ...]]] = []
+    needs: dict[str, tuple[str, ...]] = {}  # pair key -> its artifact shard
     if (
         trace_cache is not None
         and backend == "batched"
         and obs is None
         and watchdog is None
-        and tasks
         and sharded
     ):
-        # Seed the cross-shard artifacts before fanning out — otherwise
-        # every concurrently-started cold shard of the same workload
-        # regenerates the identical trace bundle and re-simulates the
-        # identical base-machine warm-up (the racy first-fill is benign
-        # but wasteful, and on few-core machines the waste is pure
-        # wall-clock).  Base machines are warmed per distinct CPU
-        # geometry: points sweeping BTB/gshare shapes each get their own
-        # shared base checkpoint.
-        distinct_cpus: list[dict | None] = []
-        seen_cpus: set = set()
-        for _k, _w, _a, _m, cpu_cfg in tasks:
-            mark = (
-                json.dumps(cpu_cfg, sort_keys=True) if cpu_cfg is not None else None
+        shard_of: dict[tuple, str] = {}
+        of_workload: dict[str, list[str]] = {}
+        for key, workload, _abtb, _mech, cpu_cfg in tasks:
+            geometry = (
+                json.dumps(cpu_cfg, sort_keys=True)
+                if cpu_cfg is not None and machine_cache is not None
+                else None
             )
-            if mark not in seen_cpus:
-                seen_cpus.add(mark)
-                distinct_cpus.append(cpu_cfg)
-        _prefill_caches(
-            dict.fromkeys(w for _k, w, _a, _m, _c in tasks),
-            scale, machine_cache, trace_cache,
-            cpu_dicts=distinct_cpus,
-        )
+            mark = (workload, geometry)
+            if mark not in shard_of:
+                earlier = of_workload.setdefault(workload, [])
+                art_key = f"{ARTIFACT_KEY_PREFIX}{workload}/cpu{len(earlier)}"
+                artifacts.append((
+                    art_key,
+                    {
+                        "artifact": True, "key": art_key, "workload": workload,
+                        "cpu": cpu_cfg, "scale": scale,
+                        "trace_cache_dir": str(trace_cache_dir),
+                        "machine_cache_dir": (
+                            str(machine_cache_dir)
+                            if machine_cache_dir is not None
+                            else None
+                        ),
+                    },
+                    tuple(earlier[:1]),
+                ))
+                earlier.append(art_key)
+                shard_of[mark] = art_key
+            needs[key] = (shard_of[mark],)
+
+    def add_trace_counts(counts: dict) -> None:
+        for field_name in ("hits", "misses"):
+            result.cache_stats[field_name] = (
+                result.cache_stats.get(field_name, 0) + int(counts.get(field_name, 0))
+            )
 
     def absorb(outcome: dict) -> None:
         """Fold one pair outcome into the result + obs, serially (the
         caller saves the checkpoint)."""
         key = outcome["key"]
         result.attempts[key] = outcome["attempts"]
-        worker_cache = outcome.get("trace_cache")
-        if worker_cache:
-            for field_name in ("hits", "misses"):
-                result.cache_stats[field_name] = (
-                    result.cache_stats.get(field_name, 0)
-                    + int(worker_cache.get(field_name, 0))
-                )
+        if outcome.get("trace_cache"):
+            add_trace_counts(outcome["trace_cache"])
         if obs is not None and obs.metrics is not None and outcome["retries"]:
             obs.metrics.counter("campaign.retries").inc(outcome["retries"])
         if outcome["failed"] is not None:
@@ -1324,13 +1354,8 @@ def run_campaign(
 
     def finish() -> CampaignResult:
         if trace_cache is not None and (trace_cache.hits or trace_cache.misses):
-            # Loads done in this process: the serial loop and the prefill.
-            for field_name, count in (
-                ("hits", trace_cache.hits), ("misses", trace_cache.misses),
-            ):
-                result.cache_stats[field_name] = (
-                    result.cache_stats.get(field_name, 0) + count
-                )
+            # Loads done in this process: the serial loop's.
+            add_trace_counts(trace_cache.cache_stats())
         if manifest_path is not None:
             _write_manifest(manifest_path, result, recorder)
         if bus is not None:
@@ -1382,16 +1407,17 @@ def run_campaign(
             return finish()
 
         def on_complete(key: str, outcome: dict) -> None:
-            # Incremental checkpoint the moment a shard lands (completion
-            # order; sorted keys keep the bytes order-independent).
+            # Incremental checkpoint the moment a pair lands (completion
+            # order; sorted keys keep the bytes order-independent).  An
+            # artifact shard's outcome carries no summary.
             if outcome.get("failed") is None and outcome.get("summary") is not None:
                 staged[key] = outcome["summary"]
                 save_checkpoint()
 
         supervisor = CampaignSupervisor(
             _campaign_worker,
-            [
-                (key, make_task(key, workload, abtb, mech_cfg, cpu_cfg))
+            artifacts + [
+                (key, make_task(key, workload, abtb, mech_cfg, cpu_cfg), needs.get(key, ()))
                 for key, workload, abtb, mech_cfg, cpu_cfg in tasks
             ],
             jobs=jobs,
@@ -1402,7 +1428,13 @@ def run_campaign(
             on_complete=on_complete,
         )
         report = supervisor.run()
-        # Fold in deterministic task order, like the serial loop.
+        # Artifact shards only add their store counts and incidents (a
+        # quarantined one has left its pairs to fill the caches).  Pairs
+        # fold in deterministic task order, like the serial loop.
+        for key, *_rest in artifacts:
+            if key in report.outcomes:
+                add_trace_counts(report.outcomes[key]["trace_cache"])
+                merge_worker_state(report.outcomes[key])
         for key, *_rest in tasks:
             if key in report.outcomes:
                 outcome = report.outcomes[key]
@@ -1434,74 +1466,91 @@ def run_campaign(
         raise
 
 
-def _prefill_caches(
-    workload_names,
-    scale,
-    machine_cache: CheckpointStore | None,
-    trace_cache: TraceStore,
-    cpu_dicts: Sequence[dict | None] = (None,),
-) -> None:
-    """Serially warm the cross-shard artifacts before fanning out.
+def _artifact_worker(task: dict) -> dict:
+    """Artifact-shard entry point: store the inputs that every pair of one
+    (workload, CPU geometry) shares, in a worker process.
 
-    Two artifacts are shared by *every* shard of one workload: the trace
-    bundle (the key excludes mechanism and ABTB size) and the warm base
-    machine (its checkpoint key has no mechanism either).  Each is
-    generated/simulated once here, in the parent, so every shard's
-    shared work becomes a pure cache hit.  Enhanced machines are
-    per-(workload, mechanism config) — exactly one shard each — and are
-    left to the shards.  Mirrors the default :func:`run_pair` recipe
+    Two artifacts are shared by *every* pair of one workload: the trace
+    bundle (the key excludes mechanism and ABTB size) and, per CPU
+    geometry, the warm base machine (its checkpoint key has no mechanism
+    either).  The shard generates and stores the bundle when the store
+    lacks it, then warms and saves the base machine when the machine
+    cache lacks it, loading the bundle only for that.  Enhanced machines
+    are per-(workload, mechanism config) — exactly one pair each — and
+    are left to the pairs.  Mirrors the default :func:`run_pair` recipe
     (module default config, DYNAMIC mode, scale-derived windows) so the
-    keys match what :func:`run_workload` computes; ``cpu_dicts`` lists
-    the distinct CPU geometries in play (``None`` = default), each of
-    which gets its own warm base machine.
+    keys match what :func:`run_workload` computes.
 
-    Anything that cannot be prefilled — an unknown workload, a
-    degenerate scale, an invalid CPU dict — is skipped: the
-    corresponding pair surfaces the real error (or fills the caches
-    itself) through the normal retry machinery.
+    Anything that cannot be stored — an unknown workload, a degenerate
+    scale, an invalid CPU dict — is skipped: the pairs that wait on this
+    shard surface the real error (or fill the caches themselves) through
+    the normal retry machinery.  Returns the store's hit/miss counts and
+    the incidents, for the parent to merge.
     """
-    for name in workload_names:
-        module = ALL_WORKLOADS.get(name)
-        if module is None:
-            continue
-        warmup = scale.warmup(name)
-        measured = scale.measured(name)
-        if warmup < 0 or measured < 1:
-            continue
-        config = module.config()
-        key = trace_key(config, LinkMode.DYNAMIC, warmup, measured)
-        bundle = trace_cache.load(key) if trace_cache.has(key) else None
-        if bundle is None:
-            bundle = generate_bundle(
-                Workload(config, LinkMode.DYNAMIC), warmup, measured
-            )
-            trace_cache.save(key, bundle)
-        if machine_cache is None:
-            continue
-        for cpu_dict in cpu_dicts:
-            try:
-                cpu = CPU(CPUConfig.from_dict(cpu_dict)) if cpu_dict else CPU()
-            except (ConfigError, ValueError):
-                continue
-            base_key = warmup_machine_key(
-                config, LinkMode.DYNAMIC, cpu.config, None, warmup
-            )
-            if machine_cache.load(base_key) is not None:
-                continue
-            BatchedBackend(cpu).run_batches((bundle.startup, bundle.warmup))
-            cpu.finalize()
-            machine_cache.save(
-                base_key,
-                MachineState.capture(
-                    cpu,
-                    meta={
-                        "workload": config.name,
-                        "mode": LinkMode.DYNAMIC.value,
-                        "label": "base",
-                        "warmup_requests": warmup,
-                    },
-                ),
-            )
+    recorder = IncidentRecorder()
+    traces = TraceStore(task["trace_cache_dir"], recorder=recorder)
+    machines = (
+        CheckpointStore(task["machine_cache_dir"], recorder=recorder)
+        if task["machine_cache_dir"] is not None
+        else None
+    )
+    _store_artifacts(task["workload"], task["scale"], task["cpu"], traces, machines)
+    return {
+        "key": task["key"],
+        "trace_cache": {"hits": traces.hits, "misses": traces.misses},
+        "incidents": recorder.as_dicts(),
+    }
+
+
+def _store_artifacts(
+    name: str,
+    scale,
+    cpu_dict: dict | None,
+    traces: TraceStore,
+    machines: CheckpointStore | None,
+) -> None:
+    """Store ``name``'s trace bundle and its base machine for ``cpu_dict``
+    (see :func:`_artifact_worker`)."""
+    module = ALL_WORKLOADS.get(name)
+    if module is None:
+        return
+    warmup = scale.warmup(name)
+    measured = scale.measured(name)
+    if warmup < 0 or measured < 1:
+        return
+    config = module.config()
+    key = trace_key(config, LinkMode.DYNAMIC, warmup, measured)
+    bundle = None
+    if not traces.has(key):
+        bundle = generate_bundle(Workload(config, LinkMode.DYNAMIC), warmup, measured)
+        traces.save(key, bundle)
+    if machines is None:
+        return
+    try:
+        cpu = CPU(CPUConfig.from_dict(cpu_dict)) if cpu_dict else CPU()
+    except (ConfigError, ValueError):
+        return
+    base_key = warmup_machine_key(config, LinkMode.DYNAMIC, cpu.config, None, warmup)
+    if machines.load(base_key) is not None:
+        return
+    if bundle is None:
+        bundle = traces.load(key)
+    if bundle is None:  # a corrupt store entry: warm from a fresh bundle
+        bundle = generate_bundle(Workload(config, LinkMode.DYNAMIC), warmup, measured)
+    BatchedBackend(cpu).run_batches((bundle.startup, bundle.warmup))
+    cpu.finalize()
+    machines.save(
+        base_key,
+        MachineState.capture(
+            cpu,
+            meta={
+                "workload": config.name,
+                "mode": LinkMode.DYNAMIC.value,
+                "label": "base",
+                "warmup_requests": warmup,
+            },
+        ),
+    )
 
 
 def _write_manifest(

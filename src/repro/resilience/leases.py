@@ -6,9 +6,14 @@ through :class:`LeaseQueue`, so pending, backoff, failure counting and
 quarantine follow one state machine.  Workers never own shards — they
 hold *leases* with deadlines:
 
-* :meth:`LeaseQueue.acquire` hands the oldest ready pending shard to a
-  worker as a :class:`Lease` expiring ``shard_deadline_s`` from now;
-  the worker renews it via heartbeat (:meth:`LeaseQueue.renew`);
+* :meth:`LeaseQueue.acquire` hands the oldest ready, unblocked pending
+  shard to a worker as a :class:`Lease` expiring ``shard_deadline_s``
+  from now; the worker renews it via heartbeat (:meth:`LeaseQueue.renew`);
+* a shard added with ``after=`` keys is *blocked* while any of those
+  shards is pending or leased, and released once each has completed or
+  been quarantined — a campaign queues the shards that store a shared
+  input ahead of the shards that read it this way.  Every ``after`` key
+  must already be queued, so dependencies cannot form a cycle;
 * a lease that expires — worker crash, hang, network partition — is
   swept by :meth:`LeaseQueue.expire`, and a worker-reported failure
   arrives through :meth:`LeaseQueue.fail`: the shard goes back to
@@ -101,6 +106,8 @@ class _Shard:
     ready_at: float = 0.0
     last_error: str = ""
     lease: Lease | None = None
+    #: Keys of the shards this one waits for (see :meth:`LeaseQueue.add`).
+    after: tuple[str, ...] = ()
 
 
 @dataclass
@@ -117,7 +124,8 @@ class ExpiredLease:
 
 
 class LeaseQueue:
-    """FIFO shard queue with deadline leases (see module doc).
+    """Oldest-ready-first shard queue with deadline leases and
+    dependencies (see module doc).
 
     Args:
         policy: lease TTL / quarantine budget / backoff knobs.
@@ -135,12 +143,23 @@ class LeaseQueue:
 
     # ------------------------------------------------------------- shards
 
-    def add(self, key: str, payload: dict, failures: int = 0) -> None:
+    def add(
+        self, key: str, payload: dict, failures: int = 0, after: tuple[str, ...] = ()
+    ) -> None:
         """Enqueue one pending shard (``failures`` seeds the quarantine
-        budget when re-adding after recovery)."""
+        budget when re-adding after recovery).
+
+        The shard is not leased while any shard named in ``after`` is
+        pending or leased; each of those must already be queued.
+        """
         if key in self._shards:
             raise ServiceError(f"shard {key!r} is already queued")
-        self._shards[key] = _Shard(key=key, payload=payload, failures=failures)
+        unknown = [dep for dep in after if dep not in self._shards]
+        if unknown:
+            raise ServiceError(f"shard {key!r} waits on unqueued shard(s) {unknown}")
+        self._shards[key] = _Shard(
+            key=key, payload=payload, failures=failures, after=tuple(after)
+        )
 
     def discard(self, key: str) -> None:
         """Drop a shard (campaign cancelled); leased work is left to
@@ -166,10 +185,10 @@ class LeaseQueue:
     # ------------------------------------------------------------- leases
 
     def acquire(self, worker_id: str) -> tuple[Lease, dict] | None:
-        """Lease the oldest ready pending shard to ``worker_id``.
+        """Lease the oldest ready, unblocked pending shard to ``worker_id``.
 
         Returns ``(lease, payload)`` or None when nothing is ready (all
-        shards terminal, leased, or still backing off).
+        shards terminal, leased, blocked, or still backing off).
 
         Acquire is **idempotent per worker**: a worker already holding a
         live lease gets that same lease back instead of a second shard.
@@ -184,7 +203,11 @@ class LeaseQueue:
                 if held is not None and held.phase is ShardPhase.LEASED:
                     return lease, held.payload
         for shard in self._shards.values():
-            if shard.phase is not ShardPhase.PENDING or shard.ready_at > now:
+            if (
+                shard.phase is not ShardPhase.PENDING
+                or shard.ready_at > now
+                or self._blocked(shard)
+            ):
                 continue
             self._lease_seq += 1
             lease = Lease(
@@ -363,15 +386,25 @@ class LeaseQueue:
         )
 
     def next_ready_at(self) -> float | None:
-        """Earliest ``ready_at`` among pending shards (None when none)."""
+        """Earliest ``ready_at`` among unblocked pending shards (None
+        when none)."""
         times = [
             s.ready_at
             for s in self._shards.values()
-            if s.phase is ShardPhase.PENDING
+            if s.phase is ShardPhase.PENDING and not self._blocked(s)
         ]
         return min(times) if times else None
 
     # ---------------------------------------------------------- internals
+
+    def _blocked(self, shard: _Shard) -> bool:
+        """True while a shard named in ``shard.after`` is still to run
+        (a discarded one no longer blocks)."""
+        for key in shard.after:
+            dep = self._shards.get(key)
+            if dep is not None and dep.phase in (ShardPhase.PENDING, ShardPhase.LEASED):
+                return True
+        return False
 
     def _fail(self, shard: _Shard, error: str) -> tuple[bool, float]:
         shard.failures += 1

@@ -21,8 +21,8 @@ backoff and quarantine decision; the supervisor keeps three jobs:
 Every transition is recorded on the
 :class:`~repro.resilience.incidents.IncidentRecorder`.  The supervisor
 knows nothing about pairs or workloads, only ``(key, payload)`` shards
-and a picklable ``worker_fn``; ``repro.experiments.runner.run_campaign``
-supplies both.
+(optionally with the keys they wait on) and a picklable ``worker_fn``;
+``repro.experiments.runner.run_campaign`` supplies both.
 """
 
 from __future__ import annotations
@@ -52,15 +52,21 @@ SPILL_SCHEMA_VERSION = 1
 #: metrics/tracer state is process-local and not salvageable).
 SPILL_OUTCOME_KEYS = ("key", "attempts", "retries", "failed", "summary", "incidents")
 
+#: Key prefix of *artifact shards*: the shards that store a campaign's
+#: shared inputs (trace bundles, warm base machines) for the pair shards
+#: queued after them.  Fault injection never targets them.
+ARTIFACT_KEY_PREFIX = "artifact:"
+
 
 @dataclass(frozen=True)
 class FaultPlan:
     """Deterministic fault injection for supervised workers.
 
-    Matching is by substring on the shard key and by the lease attempt.
-    ``*_attempts`` bounds how many attempts the fault fires on (1 = only
-    the first), so a killed shard succeeds on requeue and the test can
-    assert full recovery.
+    Matching is by substring on the shard key and by the lease attempt;
+    artifact shards (keys under :data:`ARTIFACT_KEY_PREFIX`) never match,
+    so a plan acts on pair shards only.  ``*_attempts`` bounds how many
+    attempts the fault fires on (1 = only the first), so a killed shard
+    succeeds on requeue and the test can assert full recovery.
     """
 
     #: SIGKILL the worker for matching shards.
@@ -78,13 +84,17 @@ class FaultPlan:
     diverge_match: str = ""
 
     def should_kill(self, key: str, attempt: int) -> bool:
-        return bool(self.kill_match) and self.kill_match in key and attempt <= self.kill_attempts
+        return self._targets(self.kill_match, key) and attempt <= self.kill_attempts
 
     def should_hang(self, key: str, attempt: int) -> bool:
-        return bool(self.hang_match) and self.hang_match in key and attempt <= self.hang_attempts
+        return self._targets(self.hang_match, key) and attempt <= self.hang_attempts
 
     def should_diverge(self, key: str) -> bool:
-        return bool(self.diverge_match) and self.diverge_match in key
+        return self._targets(self.diverge_match, key)
+
+    @staticmethod
+    def _targets(match: str, key: str) -> bool:
+        return bool(match) and match in key and not key.startswith(ARTIFACT_KEY_PREFIX)
 
 
 def _spill_path(spill_dir, key: str) -> Path:
@@ -190,7 +200,10 @@ class CampaignSupervisor:
 
     Args:
         worker_fn: picklable callable, ``payload -> outcome dict``.
-        shards: ordered ``(key, payload)`` pairs; keys must be unique.
+        shards: ordered ``(key, payload)`` or ``(key, payload, after)``
+            tuples; keys must be unique, and a shard is not leased until
+            every shard keyed in its ``after`` has completed or been
+            quarantined (see :meth:`LeaseQueue.add`).
         jobs: maximum number of worker processes.
         policy: deadlines / retry budget / backoff.
         recorder: optional incident recorder.
@@ -213,7 +226,7 @@ class CampaignSupervisor:
         on_complete=None,
     ) -> None:
         self.worker_fn = worker_fn
-        self.keys = [key for key, _payload in shards]
+        self.keys = [key for key, *_rest in shards]
         if len(set(self.keys)) != len(self.keys):
             raise SupervisorError("shard keys must be unique")
         if jobs < 1:
@@ -225,8 +238,8 @@ class CampaignSupervisor:
         self.spill_dir = Path(spill_dir or tempfile.mkdtemp(prefix="repro-spill-"))
         self.on_complete = on_complete
         self.leases = LeaseQueue(self.policy)
-        for key, payload in shards:
-            self.leases.add(key, payload)
+        for key, payload, *after in shards:
+            self.leases.add(key, payload, after=after[0] if after else ())
         self.report = SupervisorReport()
         self._workers: dict[str, _Worker] = {}
         self._spawned = 0

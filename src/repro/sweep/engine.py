@@ -20,7 +20,8 @@ incrementally as points land, and a rerun of the same output directory
 resumes — a fully completed sweep re-executes *zero* points and goes
 straight to analysis.  Trace generation is deduplicated by construction:
 the trace key covers only (workload recipe, windows), so all points of
-one workload share one stored bundle, prefilled before the fan-out.
+one workload share one stored bundle, stored by an artifact shard that
+the workers run before any of that workload's points.
 """
 
 from __future__ import annotations

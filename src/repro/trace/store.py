@@ -179,7 +179,8 @@ class TraceStore:
 
         Does not validate the payload — a corrupt entry still reads as
         present here and becomes a miss (and is regenerated) on
-        :meth:`load`.  Meant for prefill planning, not correctness.
+        :meth:`load`.  Meant for deciding whether to generate (as a
+        campaign's artifact shards do), not for correctness.
         """
         return (self.entry_dir(key) / "meta.json").exists()
 

@@ -35,6 +35,7 @@ from repro.experiments.runner import (
     CHECKPOINT_VERSION,
     _load_checkpoint,
     _save_checkpoint,
+    pair_key,
     run_campaign,
     run_pair,
     summarize_pair,
@@ -768,6 +769,39 @@ class TestSupervisedCampaign:
         assert payload["degraded"] is True
         assert sorted(payload["quarantined"]) == sorted(result.quarantined)
         assert "quarantined" in result.render()
+
+    def test_fault_plan_spares_artifact_shards(self, serial_reference, tmp_path):
+        """A batched, trace-cached campaign stores its bundles and base
+        machines through artifact shards; a fault plan matching
+        "memcached" hangs the memcached pair, never the memcached
+        artifact shard."""
+        policy = SupervisorPolicy(
+            shard_deadline_s=1.0,
+            heartbeat_interval_s=0.05,
+            max_shard_failures=1,
+            backoff_base_s=0.05,
+            poll_interval_s=0.02,
+        )
+        recorder = IncidentRecorder()
+        result = run_campaign(
+            WORKLOADS,
+            SMOKE,
+            abtb_sizes=ABTB,
+            jobs=2,
+            backend="batched",
+            trace_cache_dir=tmp_path / "traces",
+            machine_cache_dir=tmp_path / "machines",
+            recorder=recorder,
+            supervisor_policy=policy,
+            fault_plan=FaultPlan(hang_match="memcached"),
+        )
+        counts = recorder.counts()
+        assert counts["worker_hang"] == 1
+        assert counts["shard_quarantined"] == 1
+        assert list(result.quarantined) == [pair_key("memcached", ABTB[0], SMOKE.name)]
+        assert not result.failed
+        apache = {k: v for k, v in serial_reference.completed.items() if "apache" in k}
+        assert apache and result.completed == apache
 
     def test_resume_after_kill_merges_identically(self, serial_reference, tmp_path):
         """SIGKILL mid-campaign, then resume from the incremental

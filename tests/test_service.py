@@ -190,6 +190,94 @@ class TestLeaseQueue:
         q.discard("a")
         assert q.phase("a") is None
 
+    # ------------------------------------------------------ dependencies
+
+    def test_blocked_shard_is_never_acquired(self):
+        q, clock = self._queue()
+        q.add("art", {})
+        q.add("pair", {}, after=("art",))
+        assert q.acquire("w1")[0].key == "art"
+        # The dependency is leased: the pair stays blocked, even for a
+        # second worker and across time.
+        assert q.acquire("w2") is None
+        clock.advance(5.0)
+        assert q.acquire("w2") is None
+        assert q.phase("pair") is ShardPhase.PENDING
+
+    def test_completed_dependency_releases(self):
+        q, _ = self._queue()
+        q.add("art", {})
+        q.add("pair", {"n": 1}, after=("art",))
+        q.acquire("w1")
+        q.complete("art")
+        lease, payload = q.acquire("w2")
+        assert (lease.key, payload) == ("pair", {"n": 1})
+
+    def test_quarantined_dependency_releases(self):
+        q, clock = self._queue()
+        q.add("art", {})
+        q.add("pair", {}, after=("art",))
+        for _ in range(FAST.max_shard_failures):
+            clock.advance(30.0)  # past any backoff
+            assert q.acquire("w1")[0].key == "art"
+            q.fail("art", "boom")
+        assert q.phase("art") is ShardPhase.QUARANTINED
+        assert q.acquire("w1")[0].key == "pair"
+
+    def test_blocked_until_every_dependency_finishes(self):
+        q, _ = self._queue()
+        q.add("a", {})
+        q.add("b", {})
+        q.add("pair", {}, after=("a", "b"))
+        q.acquire("w1")
+        q.acquire("w2")
+        q.complete("a")
+        assert q.acquire("w3") is None
+        q.quarantine("b", "gave up")
+        assert q.acquire("w3")[0].key == "pair"
+
+    def test_next_ready_at_ignores_blocked_shards(self):
+        q, clock = self._queue()
+        q.add("art", {})
+        q.add("pair", {}, after=("art",))
+        assert q.next_ready_at() == 0.0  # the dependency itself is ready
+        q.acquire("w1")
+        # Only the blocked pair is pending: nothing to wake up for.
+        assert q.next_ready_at() is None
+        _quarantined, backoff = q.fail("art", "boom")
+        # A backed-off dependency's ready_at still counts; the pair's
+        # (zero) ready_at does not.
+        assert q.next_ready_at() == pytest.approx(clock() + backoff)
+        assert q.acquire("w1") is None
+
+    def test_unknown_after_key_rejected(self):
+        q, _ = self._queue()
+        q.add("a", {})
+        with pytest.raises(ServiceError, match="unqueued"):
+            q.add("pair", {}, after=("a", "later"))
+        assert q.phase("pair") is None
+        with pytest.raises(ServiceError):
+            q.add("self", {}, after=("self",))
+
+    def test_order_without_dependencies_is_unchanged(self):
+        q, clock = self._queue()
+        for key in "abcd":
+            q.add(key, {})
+        q.acquire("w0")  # a
+        q.fail("a", "boom")  # backs off behind b, c, d
+        order = []
+        while True:
+            clock.advance(0.1)
+            granted = q.acquire("w1")
+            if granted is None:
+                if not q.has_work():
+                    break
+                clock.advance(FAST.backoff(1))
+                continue
+            order.append(granted[0].key)
+            q.complete(granted[0].key)
+        assert order == ["b", "c", "d", "a"]
+
 
 # ------------------------------------------------------------------ schemas
 

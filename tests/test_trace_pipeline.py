@@ -11,6 +11,8 @@ campaign cache.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.core import MechanismConfig, TrampolineSkipMechanism
@@ -29,6 +31,7 @@ from repro.trace.store import (
 )
 from repro.uarch import CPU
 from repro.uarch.backend import BatchedBackend
+from repro.uarch.machine import CheckpointStore
 from repro.workloads import ALL_WORKLOADS
 from repro.workloads.base import Workload
 
@@ -333,3 +336,50 @@ class TestDeterminism:
             assert (tmp_path / "jobs1" / rel).read_bytes() == (
                 tmp_path / "jobs4" / rel
             ).read_bytes(), rel
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="counts writes through a patch that forked workers inherit",
+    )
+    def test_sharded_cold_campaign_stores_each_artifact_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Artifact shards store each workload's bundle and base machine
+        exactly once, before any pair of that workload is leased."""
+        scale = Scale("t", {"memcached": (2, 2), "apache": (2, 2)})
+        workloads, sizes = ("memcached", "apache"), (16, 64)
+        pairs = len(workloads) * len(sizes)
+        log = tmp_path / "machine-writes.log"
+        save = CheckpointStore.save
+
+        def logged_save(store, key, state):
+            # One line per write, appended from whichever process wrote.
+            with open(log, "a") as fh:
+                fh.write(f"{key}\n")
+            return save(store, key, state)
+
+        checkpoints = {}
+        for jobs in (1, 2):
+            root = tmp_path / f"jobs{jobs}"
+            if jobs == 2:
+                monkeypatch.setattr(CheckpointStore, "save", logged_save)
+            result = run_campaign(
+                workloads, scale, abtb_sizes=sizes, jobs=jobs, backend="batched",
+                machine_cache_dir=root / "machines",
+                trace_cache_dir=root / "traces",
+                checkpoint_path=root / "ck.json",
+            )
+            assert result.ok
+            checkpoints[jobs] = (root / "ck.json").read_bytes()
+        # Every pair loaded its bundle for the base and the enhanced run,
+        # and none found it missing: no pair regenerated it.
+        assert result.cache_stats["misses"] == 0
+        assert result.cache_stats["hits"] == 2 * pairs
+        assert len(list((tmp_path / "jobs2" / "traces").rglob("meta.json"))) == len(
+            workloads
+        )
+        # One base machine per workload plus one enhanced machine per pair,
+        # each written once.
+        writes = log.read_text().split()
+        assert len(writes) == len(set(writes)) == len(workloads) + pairs
+        assert checkpoints[2] == checkpoints[1]
